@@ -19,13 +19,14 @@ func renderGolden(rep *Report) string {
 	return b.String()
 }
 
-// TestWorkloadFiguresMatchGolden pins the fig1-3 reports byte-identical
-// to the output captured before the workload-interface refactor
-// (testdata/*.golden, quick mode, seed 42). Any change to the workload
-// builders, the memory-bound run configuration or the report rendering
-// that alters these bytes is a regression, not a cosmetic diff.
-func TestWorkloadFiguresMatchGolden(t *testing.T) {
-	for _, id := range []string{"fig1", "fig2", "fig3"} {
+// TestExperimentsMatchGolden pins every registered experiment's report
+// byte-identical to its captured output (testdata/<id>.golden, quick
+// mode, seed 42). Any change to the workload builders, the simulator,
+// the run configuration or the report rendering that alters these bytes
+// is a regression, not a cosmetic diff. A newly registered experiment
+// fails here until its golden is captured.
+func TestExperimentsMatchGolden(t *testing.T) {
+	for _, id := range Experiments() {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			t.Parallel()
@@ -39,7 +40,7 @@ func TestWorkloadFiguresMatchGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 			if got != string(want) {
-				t.Errorf("%s report differs from pre-refactor golden:\n--- got\n%s\n--- want\n%s",
+				t.Errorf("%s report differs from golden:\n--- got\n%s\n--- want\n%s",
 					id, got, want)
 			}
 		})

@@ -288,8 +288,8 @@ func equivPrograms(topo equivTopology, steps int, texec sim.Time, bytes int, inj
 }
 
 // equivNoise is a deterministic noise function that is pure in
-// (rank, step) — the snapshot-safe contract — with enough variation to
-// perturb every rank differently.
+// (rank, step), so its draws do not depend on call order, with enough
+// variation to perturb every rank differently.
 func equivNoise(texec sim.Time) NoiseFunc {
 	return func(rank, step int) sim.Time {
 		h := uint64(rank+1)*0x9e3779b97f4a7c15 ^ uint64(step+1)*0xbf58476d1ce4e5b9

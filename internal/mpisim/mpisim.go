@@ -183,12 +183,6 @@ type Program []Op
 
 // NoiseFunc returns extra execution time injected into the given rank's
 // execution phase of the given step (fine-grained noise, Eq. 3).
-//
-// For snapshot/restore to reproduce a run byte-identically, a NoiseFunc
-// must be either a pure function of (rank, step) or draw one sample per
-// call from a per-rank stream in call order — the two shapes every
-// injector in internal/noise has. Restore fast-forwards stateful streams
-// by replaying each rank's recorded draw count.
 type NoiseFunc func(rank, step int) sim.Time
 
 // Config parameterizes a simulation run.
@@ -327,7 +321,7 @@ func (q *fifo[T]) pop() T {
 	return v
 }
 
-// live returns the queued items in FIFO order (checkpoint iteration).
+// live returns the queued items in FIFO order.
 func (q *fifo[T]) live() []T { return q.items[q.head:] }
 
 // matchSlot holds one (peer, tag) channel's three queues: receives posted
@@ -436,11 +430,6 @@ type rank struct {
 	phaseEnd   sim.Time
 	phaseStep  int
 	memFloor   sim.Time // fixed compute floor of a memory-bound phase
-
-	// noiseDraws counts how often the configured NoiseFunc has been
-	// sampled for this rank, so a restored run can fast-forward the
-	// rank's noise stream to exactly where the checkpoint left it.
-	noiseDraws uint64
 
 	rec *rankRecorder
 }
@@ -621,48 +610,16 @@ func (s *simulation) newEntryList() []matchEntry {
 	return make([]matchEntry, 0, 4)
 }
 
-// Sim is a resumable simulation: it exposes the event loop one step at a
-// time, so long runs can be checkpointed mid-flight (Snapshot/Restore)
-// or driven under external control. Run is the one-shot convenience
-// wrapper.
-type Sim struct {
-	sm       *simulation
-	finished bool
-}
-
-// New validates the configuration and programs and builds a simulation
-// ready to execute. No virtual time has passed yet; the initial rank
-// start events are scheduled at time zero.
-//
-// A resumable Sim always runs the serial event loop: its step-at-a-time
-// and Snapshot surfaces expose a single engine's queue, which a sharded
-// run does not have. Configurations requesting shards are rejected; use
-// Run (which parallelizes when eligible) or set Shards to 0.
-func New(cfg Config, programs []Program) (*Sim, error) {
-	if err := validate(cfg, programs); err != nil {
-		return nil, err
-	}
-	if cfg.Shards > 0 {
-		return nil, fmt.Errorf("mpisim: a resumable Sim cannot run sharded (Shards=%d); use Run, or set Shards to 0", cfg.Shards)
-	}
-	return newSerialSim(cfg, programs), nil
-}
-
-// newSerialSim builds a validated serial Sim with its rank start events
-// scheduled — the core of New, shared with Run's fallback path (which
-// has already validated and must not re-trip New's shard rejection).
-func newSerialSim(cfg Config, programs []Program) *Sim {
-	s := newSimulation(cfg, programs)
+// runSerial executes a validated configuration on one engine: it
+// schedules every rank's start at time zero, drains the event queue and
+// assembles the Result.
+func runSerial(cfg Config, programs []Program) (*Result, error) {
+	s := newRangedSimulation(cfg, programs, 0, cfg.Ranks, nil)
 	for i := range s.ranks {
 		s.engine.ScheduleCall(0, rankExecCall, &s.ranks[i])
 	}
-	return &Sim{sm: s}
-}
-
-// newSimulation builds the serial simulation skeleton shared by New and
-// Restore: ranks, matchers and recorders, without scheduling anything.
-func newSimulation(cfg Config, programs []Program) *simulation {
-	return newRangedSimulation(cfg, programs, 0, cfg.Ranks, nil)
+	end := s.engine.Run()
+	return assembleResult(cfg, []*simulation{s}, end, s.engine.Executed())
 }
 
 // newRangedSimulation builds a simulation owning global ranks [lo, hi).
@@ -707,32 +664,6 @@ func newRankRecorder(cfg Config, p Program, rank int) *rankRecorder {
 		segHint, stepHint := programShape(p, cfg.Noise != nil)
 		return &rankRecorder{rec: trace.NewRecorderSized(rank, segHint, stepHint), segs: true}
 	}
-}
-
-// Step executes the next pending event, if any, and reports whether one
-// ran. Snapshot may be called between steps.
-func (x *Sim) Step() bool { return x.sm.engine.Step() }
-
-// Now returns the current virtual time.
-func (x *Sim) Now() sim.Time { return x.sm.engine.Now() }
-
-// Executed returns the number of events executed so far.
-func (x *Sim) Executed() uint64 { return x.sm.engine.Executed() }
-
-// Pending returns the number of events still scheduled.
-func (x *Sim) Pending() int { return x.sm.engine.Pending() }
-
-// Finish drains the remaining events and assembles the Result. It
-// reports a deadlock error if any rank is still blocked when no events
-// remain. Finish may be called at most once.
-func (x *Sim) Finish() (*Result, error) {
-	if x.finished {
-		return nil, fmt.Errorf("mpisim: Finish called twice")
-	}
-	x.finished = true
-	s := x.sm
-	end := s.engine.Run()
-	return assembleResult(s.cfg, []*simulation{s}, end, s.engine.Executed())
 }
 
 // assembleResult runs the deadlock check and builds the Result over the
@@ -780,7 +711,7 @@ func Run(cfg Config, programs []Program) (*Result, error) {
 	if cfg.Shards > 0 {
 		return runSharded(cfg, programs)
 	}
-	return newSerialSim(cfg, programs).Finish()
+	return runSerial(cfg, programs)
 }
 
 // programShape estimates a program's trace footprint for recorder
@@ -920,7 +851,6 @@ func rankComputeDone(arg any) {
 	var noise sim.Time
 	if s.cfg.Noise != nil {
 		noise = s.cfg.Noise(r.id, r.phaseStep)
-		r.noiseDraws++
 		if noise < 0 {
 			noise = 0
 		}

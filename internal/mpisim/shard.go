@@ -295,7 +295,7 @@ func nearestCut(allowed []int, ideal int) int {
 func runSharded(cfg Config, programs []Program) (*Result, error) {
 	plan, _ := planShards(cfg, programs)
 	if plan == nil {
-		return newSerialSim(cfg, programs).Finish()
+		return runSerial(cfg, programs)
 	}
 	s := len(plan.bounds) - 1
 

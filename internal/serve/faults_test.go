@@ -225,6 +225,66 @@ func TestMemBudgetBackpressure(t *testing.T) {
 	}
 }
 
+// TestMemBudgetCountsWorkloadRanks: a workload spelling that carries
+// its own rank count is charged for those ranks, as the base workload
+// and on a workload axis alike. An oversized workload bounces with a
+// BusyError (429 over HTTP) under a budget that admits the same spec at
+// small size, instead of slipping through at the 64-rank floor.
+func TestMemBudgetCountsWorkloadRanks(t *testing.T) {
+	const (
+		small  = "gen:16:steps=6:phase=exp/1ms"
+		big    = "gen:20000:steps=6:phase=exp/1ms"
+		budget = 8 << 20
+	)
+	shapes := []struct {
+		name string
+		spec func(w string) spec.Sweep
+	}{
+		{"base", func(w string) spec.Sweep {
+			return spec.Sweep{
+				Base: spec.Scenario{Workload: w, Seed: 1},
+				Axes: []spec.Axis{{Kind: "noise", Values: []string{"0", "0.02"}}},
+			}
+		}},
+		{"axis", func(w string) spec.Sweep {
+			return spec.Sweep{
+				Base: spec.Scenario{Seed: 1},
+				Axes: []spec.Axis{{Kind: "workload", Values: []string{"gen:8:steps=6:phase=exp/1ms", w}}},
+			}
+		}},
+	}
+	for _, sh := range shapes {
+		t.Run(sh.name, func(t *testing.T) {
+			m := NewManager(Config{MemBudget: budget})
+			defer m.Close()
+			srv := httptest.NewServer(Handler(m))
+			defer srv.Close()
+
+			_, err := m.Submit(sh.spec(big))
+			var busy *BusyError
+			if !errors.As(err, &busy) {
+				t.Fatalf("oversized workload submit: %v, want BusyError", err)
+			}
+			ws := sh.spec(big)
+			body, _ := ws.Encode()
+			resp, err := http.Post(srv.URL+"/v1/sweeps", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusTooManyRequests {
+				t.Errorf("oversized workload over HTTP: %d, want 429", resp.StatusCode)
+			}
+
+			job, err := m.Submit(sh.spec(small))
+			if err != nil {
+				t.Fatalf("small workload rejected under the same budget: %v", err)
+			}
+			waitJobCSV(t, job)
+		})
+	}
+}
+
 // TestJournalWriteFailuresAreSurvivable: injected journal I/O errors
 // are counted but never fail the job — durability degrades, the
 // answer does not.

@@ -17,6 +17,7 @@ import (
 	"repro/internal/spec"
 	"repro/internal/sweep"
 	"repro/internal/topology"
+	"repro/internal/workload"
 )
 
 // Config bounds the resources a Manager spends on behalf of its
@@ -372,33 +373,58 @@ func estimateJobBytes(c spec.Sweep, points, workers, cols int) int64 {
 	if steps <= 0 {
 		steps = 100
 	}
+	raise := func(n int) {
+		if n > ranks {
+			ranks = n
+		}
+	}
 	for _, a := range c.Axes {
-		switch a.Kind {
-		case "ranks":
-			for _, v := range a.Values {
-				if n, err := strconv.Atoi(v); err == nil && n > ranks {
-					ranks = n
+		for _, v := range a.Values {
+			switch a.Kind {
+			case "ranks":
+				if n, err := strconv.Atoi(v); err == nil {
+					raise(n)
 				}
-			}
-		case "topology":
-			for _, v := range a.Values {
-				if t, err := topology.Parse(v); err == nil && t.Ranks() > ranks {
-					ranks = t.Ranks()
-				}
+			case "topology":
+				raise(topologyRanks(v))
+			case "workload":
+				raise(workloadRanks(v))
 			}
 		}
 	}
-	if c.Base.Topology != "" {
-		if t, err := topology.Parse(c.Base.Topology); err == nil && t.Ranks() > ranks {
-			ranks = t.Ranks()
-		}
-	}
+	raise(topologyRanks(c.Base.Topology))
+	raise(workloadRanks(c.Base.Workload))
 	if ranks < 64 {
 		ranks = 64
 	}
 	perPoint := int64(ranks) * (256 + 16*int64(steps))
 	rows := int64(points) * int64(cols+1) * 32
 	return int64(workers)*perPoint + rows
+}
+
+// topologyRanks is the rank count of a topology.Parse spelling, or 0
+// when it does not parse (an empty spelling does not).
+func topologyRanks(v string) int {
+	t, err := topology.Parse(v)
+	if err != nil {
+		return 0
+	}
+	return t.Ranks()
+}
+
+// workloadRanks is the rank count a workload.Parse spelling carries in
+// its own topology, or 0 when it does not parse or declares no
+// topology.
+func workloadRanks(v string) int {
+	w, err := workload.Parse(v)
+	if err != nil {
+		return 0
+	}
+	t, err := w.Topology()
+	if err != nil || t == nil {
+		return 0
+	}
+	return t.Ranks()
 }
 
 // Get returns the job with the given id.

@@ -21,7 +21,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"sort"
 	"time"
 )
 
@@ -71,9 +70,6 @@ type Event struct {
 	dead   bool
 	pos    int // index within the heap, for O(log n) cancellation
 }
-
-// At returns the event's scheduled virtual time.
-func (e *Event) At() Time { return e.at }
 
 // Cancelled reports whether the event has been cancelled.
 func (e *Event) Cancelled() bool { return e.dead }
@@ -272,51 +268,6 @@ func (e *Engine) Step() bool {
 		return true
 	}
 	return false
-}
-
-// SnapshotEvents visits every live (non-cancelled) pending event in
-// execution order — (time, insertion sequence) — for checkpointing. Only
-// typed-callback events can be externalized: an event scheduled in
-// closure form has no identifiable action, so visiting one returns an
-// error. The visit callback receives the event's scheduled time, its
-// typed callback and its argument; the caller is responsible for mapping
-// (fn, arg) pairs to a serializable identity.
-func (e *Engine) SnapshotEvents(visit func(at Time, fn func(any), arg any) error) error {
-	live := make([]*Event, 0, len(e.heap))
-	for _, ev := range e.heap {
-		if !ev.dead {
-			live = append(live, ev)
-		}
-	}
-	sort.Slice(live, func(i, j int) bool { return less(live[i], live[j]) })
-	for _, ev := range live {
-		if ev.callFn == nil {
-			return fmt.Errorf("sim: cannot snapshot closure-form event at t=%v", ev.at)
-		}
-		if err := visit(ev.at, ev.callFn, ev.arg); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// RestoreClock sets a fresh engine's virtual clock and executed-event
-// counter to a checkpointed state. It refuses to run on an engine that
-// has already scheduled or executed anything: restore builds the world
-// from scratch, it does not merge into a live one. Events re-scheduled
-// after RestoreClock get fresh insertion sequences; scheduling them in
-// checkpointed execution order therefore preserves their relative order
-// exactly, which is what byte-identical resume requires.
-func (e *Engine) RestoreClock(now Time, executed uint64) error {
-	if e.now != 0 || e.executed != 0 || e.seq != 0 || len(e.heap) != 0 {
-		return fmt.Errorf("sim: RestoreClock on a used engine")
-	}
-	if now < 0 {
-		return fmt.Errorf("sim: RestoreClock to negative time %v", now)
-	}
-	e.now = now
-	e.executed = executed
-	return nil
 }
 
 // less orders events by time, then by insertion sequence (FIFO).
