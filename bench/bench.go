@@ -118,8 +118,8 @@ func Suite() []Case {
 func nopEvent() {}
 
 // engineBatch is the number of events scheduled per EngineSchedule
-// iteration; large enough that heap growth amortizes away and per-event
-// cost dominates.
+// iteration; large enough that queue warm-up amortizes away and
+// per-event cost dominates.
 const engineBatch = 1024
 
 // EngineSchedule measures the engine hot path in isolation: schedule a
@@ -128,8 +128,8 @@ const engineBatch = 1024
 func EngineSchedule(b *testing.B) {
 	b.ReportAllocs()
 	var e sim.Engine
-	// One warm-up batch populates the free list and grows the heap slice
-	// so the timed loop sees steady state.
+	// One warm-up batch populates the event and chunk free lists so the
+	// timed loop sees steady state.
 	runEngineBatch(&e)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

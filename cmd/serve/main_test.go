@@ -33,6 +33,18 @@ type e2eServer struct {
 	url string
 }
 
+// waitReady polls /v1/readyz until the server has replayed its journal
+// or the deadline passes.
+func (s *e2eServer) waitReady(t *testing.T, deadline time.Time) {
+	t.Helper()
+	for time.Now().Before(deadline) {
+		if s.getJSON(t, "/v1/readyz", nil) == http.StatusOK {
+			return
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+}
+
 // startServer launches the built binary and waits for its listen line.
 func startServer(t *testing.T, bin string, args ...string) *e2eServer {
 	t.Helper()
@@ -119,6 +131,9 @@ func TestCrashRecoveryE2E(t *testing.T) {
 
 	srv := startServer(t, bin, args...)
 	defer srv.cmd.Process.Kill()
+	// The server listens before it replays its journal and refuses
+	// submissions until then, even when the journal is empty.
+	srv.waitReady(t, time.Now().Add(30*time.Second))
 
 	ws := e2eSpec()
 	body, err := ws.Encode()
@@ -169,12 +184,7 @@ func TestCrashRecoveryE2E(t *testing.T) {
 		srv2.cmd.Process.Kill()
 		srv2.cmd.Wait()
 	}()
-	for time.Now().Before(deadline) {
-		if code := srv2.getJSON(t, "/v1/readyz", nil); code == http.StatusOK {
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+	srv2.waitReady(t, deadline)
 	var cur jobView
 	for {
 		if srv2.getJSON(t, "/v1/sweeps/"+job.ID, &cur) != http.StatusOK {

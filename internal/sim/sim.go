@@ -1,26 +1,40 @@
 // Package sim implements the discrete-event simulation engine that drives
-// the message-passing simulator. It provides a virtual clock, a binary-heap
-// event queue with deterministic tie-breaking, and an Engine loop.
+// the message-passing simulator. It provides a virtual clock, a monotone
+// radix event queue with deterministic tie-breaking, and an Engine loop.
 //
 // Determinism matters here: two events scheduled for the same virtual time
 // must always execute in the same order, or otherwise identical runs could
 // produce different message-matching orders and different timelines. Ties
-// are broken by insertion sequence number (FIFO among equal-time events).
+// are broken by insertion order (FIFO among equal-time events).
+//
+// # Event queue
+//
+// Simulated time never runs backwards, so the queue is a radix heap
+// (Ahuja, Mehlhorn, Orlin & Tarjan, JACM 37(2), 1990) keyed by the bit
+// pattern of the event time: for non-negative floats that pattern orders
+// exactly like the value. Bucket i holds the events whose key first
+// differs from the last popped key at bit i-1, so bucket 0 holds the
+// events due at exactly that key. Popping takes the head of bucket 0;
+// when it is empty, the smallest non-empty bucket is emptied into lower
+// ones around its minimum. Each bucket is a FIFO of fixed-size chunks, so
+// every bucket stays in insertion order and equal times pop FIFO.
 //
 // # Allocation discipline
 //
 // The engine is the innermost loop of every simulation, so it recycles
-// Event objects on a per-engine free list: in steady state, scheduling
-// and executing an event performs no heap allocation. The typed-callback
-// form ScheduleCall(at, fn, arg) passes a pointer-shaped argument to a
-// plain function, which lets hot callers avoid allocating a capture
-// closure per event; Schedule(at, func()) remains as a thin wrapper for
-// call sites where a closure is idiomatic and cold.
+// Event objects and queue chunks on per-engine free lists: in steady
+// state, scheduling and executing an event performs no heap allocation.
+// The typed-callback form ScheduleCall(at, fn, arg) passes a
+// pointer-shaped argument to a plain function, which lets hot callers
+// avoid allocating a capture closure per event; Schedule(at, func())
+// remains as a thin wrapper for call sites where a closure is idiomatic
+// and cold.
 package sim
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"time"
 )
 
@@ -63,12 +77,10 @@ func (t Time) Millis() float64 { return float64(t) * 1e3 }
 // handle when the event fires, which is the natural shape anyway.
 type Event struct {
 	at     Time
-	seq    uint64
 	fn     func()    // closure form (Schedule)
 	callFn func(any) // typed-callback form (ScheduleCall)
 	arg    any
 	dead   bool
-	pos    int // index within the heap, for O(log n) cancellation
 }
 
 // Cancelled reports whether the event has been cancelled.
@@ -83,13 +95,53 @@ func (e *Event) run() {
 	e.fn()
 }
 
-// Engine owns the virtual clock, the pending-event heap and the event
-// free list. The zero value is ready to use.
+// keyOf maps a non-negative time to its queue key. The IEEE-754 bit
+// pattern of a non-negative float orders like its value; -0 is mapped
+// onto +0, the only pair of equal times with different patterns.
+func keyOf(at Time) uint64 {
+	if at == 0 {
+		return 0
+	}
+	return math.Float64bits(float64(at))
+}
+
+// chunkLen is the number of events one queue chunk holds.
+const chunkLen = 64
+
+// chunk is one fixed-size segment of a bucket's FIFO; spare chunks are
+// linked through next on the engine's chunk free list.
+type chunk struct {
+	evs  [chunkLen]slot
+	next *chunk
+}
+
+// slot is one queued event with its key beside it, so refilling a
+// bucket reads only the chunks, not the events.
+type slot struct {
+	key uint64
+	ev  *Event
+}
+
+// bucket is a FIFO of events held in a list of chunks: it is read at
+// head.evs[lo] and appended at tail.evs[hi]. The zero value is empty.
+type bucket struct {
+	head, tail *chunk
+	lo, hi     int
+}
+
+// Engine owns the virtual clock, the pending-event queue and the event
+// and chunk free lists. The zero value is ready to use.
 type Engine struct {
-	now      Time
-	heap     []*Event
-	free     []*Event
-	seq      uint64
+	now Time
+	// last is the key that buckets are relative to: the key of the last
+	// event taken to the head of the queue, never above any queued key.
+	last    uint64
+	buckets [65]bucket
+	// full has bit i-1 set when bucket i (1..64) is non-empty.
+	full     uint64
+	pending  int
+	spare    *chunk   // chunk free list
+	free     []*Event // event free list
 	executed uint64
 	running  bool
 }
@@ -102,7 +154,7 @@ func (e *Engine) Executed() uint64 { return e.executed }
 
 // Pending returns the number of events still scheduled (including
 // cancelled events not yet popped).
-func (e *Engine) Pending() int { return len(e.heap) }
+func (e *Engine) Pending() int { return e.pending }
 
 // alloc takes an Event from the free list, or allocates a fresh one.
 func (e *Engine) alloc() *Event {
@@ -125,9 +177,9 @@ func (e *Engine) recycle(ev *Event) {
 }
 
 // Schedule registers fn to run at virtual time at. Scheduling an event in
-// the past (before Now) panics: it would mean causality violation in the
-// simulation logic, which is always a programming error worth failing
-// loudly for.
+// the past (before Now) or at NaN panics: it would mean causality
+// violation in the simulation logic, which is always a programming error
+// worth failing loudly for.
 func (e *Engine) Schedule(at Time, fn func()) *Event {
 	if fn == nil {
 		panic("sim: scheduling nil event function")
@@ -154,20 +206,26 @@ func (e *Engine) ScheduleCall(at Time, fn func(any), arg any) *Event {
 
 // schedule allocates and enqueues a bare event at the given time.
 func (e *Engine) schedule(at Time) *Event {
-	if at < e.now {
+	if !(at >= e.now) {
+		if at != at {
+			panic(fmt.Sprintf("sim: scheduling event at %v (now %v)", at, e.now))
+		}
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, e.now))
 	}
 	ev := e.alloc()
 	ev.at = at
-	ev.seq = e.seq
-	e.seq++
-	e.push(ev)
+	key := keyOf(at)
+	if key < e.last {
+		e.rebase()
+	}
+	e.put(slot{key, ev})
+	e.pending++
 	return ev
 }
 
 // After schedules fn to run delay after the current time.
 func (e *Engine) After(delay Time, fn func()) *Event {
-	if delay < 0 {
+	if !(delay >= 0) {
 		panic(fmt.Sprintf("sim: negative delay %v", delay))
 	}
 	return e.Schedule(e.now+delay, fn)
@@ -176,7 +234,7 @@ func (e *Engine) After(delay Time, fn func()) *Event {
 // AfterCall schedules fn(arg) to run delay after the current time — the
 // typed-callback counterpart of After.
 func (e *Engine) AfterCall(delay Time, fn func(any), arg any) *Event {
-	if delay < 0 {
+	if !(delay >= 0) {
 		panic(fmt.Sprintf("sim: negative delay %v", delay))
 	}
 	return e.ScheduleCall(e.now+delay, fn, arg)
@@ -191,10 +249,9 @@ func (e *Engine) Cancel(ev *Event) {
 	if ev == nil || ev.dead {
 		return
 	}
+	// Leave it queued; the run loop discards dead events when popped
+	// and recycles them.
 	ev.dead = true
-	// Leave it in the heap; the run loop discards dead events when popped
-	// and recycles them. Removing eagerly would also be possible via
-	// ev.pos, but lazily skipping is simpler and just as fast here.
 }
 
 // Run executes events in (time, insertion) order until the queue drains.
@@ -212,9 +269,9 @@ func (e *Engine) RunUntil(limit Time) Time {
 	}
 	e.running = true
 	defer func() { e.running = false }()
-	for len(e.heap) > 0 {
-		top := e.heap[0]
-		if top.at > limit {
+	for {
+		top := e.head()
+		if top == nil || top.at > limit {
 			break
 		}
 		e.pop()
@@ -241,22 +298,28 @@ func (e *Engine) RunUntil(limit Time) Time {
 // them anyway. The parallel shard driver polls this between execution
 // windows to compute safe lookahead horizons.
 func (e *Engine) NextEventTime() (Time, bool) {
-	for len(e.heap) > 0 {
-		top := e.heap[0]
+	for {
+		top := e.head()
+		if top == nil {
+			return 0, false
+		}
 		if !top.dead {
 			return top.at, true
 		}
 		e.pop()
 		e.recycle(top)
 	}
-	return 0, false
 }
 
 // Step executes exactly one live event, if any, and reports whether an
 // event ran. Useful for fine-grained testing.
 func (e *Engine) Step() bool {
-	for len(e.heap) > 0 {
-		top := e.pop()
+	for {
+		top := e.head()
+		if top == nil {
+			return false
+		}
+		e.pop()
 		if top.dead {
 			e.recycle(top)
 			continue
@@ -267,69 +330,126 @@ func (e *Engine) Step() bool {
 		e.recycle(top)
 		return true
 	}
-	return false
 }
 
-// less orders events by time, then by insertion sequence (FIFO).
-func less(a, b *Event) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
-func (e *Engine) push(ev *Event) {
-	ev.pos = len(e.heap)
-	e.heap = append(e.heap, ev)
-	e.up(ev.pos)
-}
-
-func (e *Engine) pop() *Event {
-	top := e.heap[0]
-	last := len(e.heap) - 1
-	e.heap[0] = e.heap[last]
-	e.heap[0].pos = 0
-	e.heap[last] = nil // release the slot's reference for the pool
-	e.heap = e.heap[:last]
-	if last > 0 {
-		e.down(0)
-	}
-	top.pos = -1
-	return top
-}
-
-func (e *Engine) up(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !less(e.heap[i], e.heap[parent]) {
-			break
+// head returns the earliest queued event without removing it, or nil
+// when the queue is empty. It refills bucket 0 if needed, which moves
+// last up to the head's key.
+func (e *Engine) head() *Event {
+	b := &e.buckets[0]
+	if b.head == nil {
+		if e.full == 0 {
+			return nil
 		}
-		e.swap(i, parent)
-		i = parent
+		e.refill()
+	}
+	return b.head.evs[b.lo].ev
+}
+
+// pop removes the event head returned; bucket 0 must be non-empty.
+func (e *Engine) pop() {
+	b := &e.buckets[0]
+	b.lo++
+	if b.head == b.tail && b.lo == b.hi {
+		e.release(b.head)
+		*b = bucket{}
+	} else if b.lo == chunkLen {
+		c := b.head
+		b.head, b.lo = c.next, 0
+		e.release(c)
+	}
+	e.pending--
+}
+
+// refill empties the smallest non-empty bucket into the lower ones
+// around its minimum key, which becomes the new last. Bucket 0 is empty
+// on entry and holds every event at that key on return.
+func (e *Engine) refill() {
+	i := bits.TrailingZeros64(e.full) + 1
+	src := e.buckets[i]
+	e.buckets[i] = bucket{}
+	e.full &^= 1 << (i - 1)
+	least := ^uint64(0)
+	for c, lo := src.head, src.lo; c != nil; c, lo = c.next, 0 {
+		for _, s := range c.evs[lo:src.end(c)] {
+			if s.key < least {
+				least = s.key
+			}
+		}
+	}
+	e.last = least
+	e.move(src)
+}
+
+// rebase re-buckets every queued event relative to the clock. It runs
+// when an event is scheduled below last, which happens only after head
+// looked past the clock (RunUntil stopping at its limit, or
+// NextEventTime) and a caller then scheduled between Now and that head,
+// as the shard coordinator does when it delivers cross-shard messages.
+func (e *Engine) rebase() {
+	old := e.buckets
+	e.buckets = [len(old)]bucket{}
+	e.full = 0
+	e.last = keyOf(e.now)
+	for _, b := range old {
+		e.move(b)
 	}
 }
 
-func (e *Engine) down(i int) {
-	n := len(e.heap)
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && less(e.heap[l], e.heap[smallest]) {
-			smallest = l
+// move re-inserts the events of a detached bucket in its FIFO order and
+// frees its chunks. Equal keys always share a bucket, so moving buckets
+// whole and in order keeps equal times in insertion order.
+func (e *Engine) move(src bucket) {
+	for c, lo := src.head, src.lo; c != nil; lo = 0 {
+		for _, s := range c.evs[lo:src.end(c)] {
+			e.put(s)
 		}
-		if r < n && less(e.heap[r], e.heap[smallest]) {
-			smallest = r
-		}
-		if smallest == i {
-			return
-		}
-		e.swap(i, smallest)
-		i = smallest
+		next := c.next
+		e.release(c)
+		c = next
 	}
 }
 
-func (e *Engine) swap(i, j int) {
-	e.heap[i], e.heap[j] = e.heap[j], e.heap[i]
-	e.heap[i].pos = i
-	e.heap[j].pos = j
+// end is the end of c's queued slots: hi in the tail chunk, chunkLen in
+// the full chunks before it.
+func (b *bucket) end(c *chunk) int {
+	if c == b.tail {
+		return b.hi
+	}
+	return chunkLen
+}
+
+// put appends s to the bucket its key selects relative to last.
+func (e *Engine) put(s slot) {
+	i := bits.Len64(s.key ^ e.last)
+	b := &e.buckets[i]
+	if b.tail == nil {
+		c := e.chunk()
+		b.head, b.tail, b.lo, b.hi = c, c, 0, 0
+		if i > 0 {
+			e.full |= 1 << (i - 1)
+		}
+	} else if b.hi == chunkLen {
+		c := e.chunk()
+		b.tail.next = c
+		b.tail, b.hi = c, 0
+	}
+	b.tail.evs[b.hi] = s
+	b.hi++
+}
+
+// chunk takes a chunk from the free list, or allocates a fresh one.
+func (e *Engine) chunk() *chunk {
+	c := e.spare
+	if c == nil {
+		return new(chunk)
+	}
+	e.spare, c.next = c.next, nil
+	return c
+}
+
+// release returns a drained chunk to the free list.
+func (e *Engine) release(c *chunk) {
+	c.next = e.spare
+	e.spare = c
 }

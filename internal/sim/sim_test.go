@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -64,6 +66,29 @@ func TestSchedulePastPanics(t *testing.T) {
 		e.Schedule(5, func() {})
 	})
 	e.Run()
+}
+
+func TestScheduleNaNPanics(t *testing.T) {
+	nan := Time(math.NaN())
+	for name, schedule := range map[string]func(e *Engine){
+		"Schedule":     func(e *Engine) { e.Schedule(nan, func() {}) },
+		"ScheduleCall": func(e *Engine) { e.ScheduleCall(nan, nopCall, nil) },
+		"After":        func(e *Engine) { e.After(nan, func() {}) },
+		"AfterCall":    func(e *Engine) { e.AfterCall(nan, nopCall, nil) },
+	} {
+		var e Engine
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s at NaN did not panic", name)
+				}
+			}()
+			schedule(&e)
+		}()
+		if e.Pending() != 0 || e.Now() != 0 {
+			t.Errorf("%s at NaN left Pending=%d Now=%v, want 0, 0", name, e.Pending(), e.Now())
+		}
+	}
 }
 
 func TestScheduleNilPanics(t *testing.T) {
@@ -282,5 +307,310 @@ func BenchmarkScheduleRun(b *testing.B) {
 			e.Schedule(Time(r.Float64()), func() {})
 		}
 		e.Run()
+	}
+}
+
+// orderRef is one event of the reference queue checkEngineOrder runs
+// beside the engine: a plain list popped by linear scan for the least
+// (at, seq), with the engine's lazy-cancel and pop rules.
+type orderRef struct {
+	id     int
+	at     Time
+	seq    uint64
+	dead   bool
+	spawn  bool // the handler schedules a child spawnD later
+	spawnD Time
+}
+
+// orderProbe is the engine-side action of one event: it records its id
+// and schedules its child, if any, the way the reference does.
+type orderProbe struct {
+	c      *orderCheck
+	id     int
+	spawn  bool
+	spawnD Time
+}
+
+// childID names the child an event schedules from its handler; children
+// never spawn, so ids stay unique.
+const childID = 1 << 20
+
+type orderCheck struct {
+	e       Engine
+	handles map[int]*Event
+	ran     []int // ids in engine execution order
+
+	queue []*orderRef // reference: queued events, live or cancelled
+	all   []*orderRef // reference: every event ever scheduled
+	now   Time
+	seq   uint64
+	want  []int // ids in reference execution order
+}
+
+func orderCall(arg any) {
+	p := arg.(*orderProbe)
+	c := p.c
+	c.ran = append(c.ran, p.id)
+	if p.spawn {
+		child := &orderProbe{c: c, id: p.id + childID}
+		c.handles[child.id] = c.e.ScheduleCall(c.e.Now()+p.spawnD, orderCall, child)
+	}
+}
+
+// schedule enqueues one event on both sides.
+func (c *orderCheck) schedule(id int, at Time, spawn bool, spawnD Time) {
+	c.handles[id] = c.e.ScheduleCall(at, orderCall, &orderProbe{c: c, id: id, spawn: spawn, spawnD: spawnD})
+	c.push(id, at, spawn, spawnD)
+}
+
+func (c *orderCheck) push(id int, at Time, spawn bool, spawnD Time) {
+	r := &orderRef{id: id, at: at, seq: c.seq, spawn: spawn, spawnD: spawnD}
+	c.seq++
+	c.queue = append(c.queue, r)
+	c.all = append(c.all, r)
+}
+
+// head returns the index of the least queued (at, seq), or -1.
+func (c *orderCheck) head() int {
+	best := -1
+	for i, r := range c.queue {
+		if best < 0 || r.at < c.queue[best].at || (r.at == c.queue[best].at && r.seq < c.queue[best].seq) {
+			best = i
+		}
+	}
+	return best
+}
+
+func (c *orderCheck) pop(i int) *orderRef {
+	r := c.queue[i]
+	c.queue = append(c.queue[:i], c.queue[i+1:]...)
+	return r
+}
+
+// runUntil is the reference RunUntil: pop every event at or before
+// limit, executing the live ones.
+func (c *orderCheck) runUntil(limit Time) {
+	for c.runOne(limit) {
+	}
+}
+
+// runOne pops the least queued event if it is due by limit, and
+// executes it unless it was cancelled.
+func (c *orderCheck) runOne(limit Time) bool {
+	i := c.head()
+	if i < 0 || c.queue[i].at > limit {
+		return false
+	}
+	r := c.pop(i)
+	if !r.dead {
+		c.now = r.at
+		c.want = append(c.want, r.id)
+		if r.spawn {
+			c.push(r.id+childID, c.now+r.spawnD, false, 0)
+		}
+	}
+	return true
+}
+
+// step is the reference Step: execute the first live event.
+func (c *orderCheck) step() bool {
+	at, ok := c.nextEventTime()
+	if ok {
+		c.runOne(at) // the head is live after nextEventTime
+	}
+	return ok
+}
+
+// nextEventTime is the reference NextEventTime: discard cancelled heads.
+func (c *orderCheck) nextEventTime() (Time, bool) {
+	for {
+		i := c.head()
+		if i < 0 {
+			return 0, false
+		}
+		if !c.queue[i].dead {
+			return c.queue[i].at, true
+		}
+		c.pop(i)
+	}
+}
+
+// checkEngineOrder decodes ops into a sequence of schedules (at the
+// clock, at a queued time, binades apart, one ULP ahead, or between the
+// clock and a head the engine already looked at), cancels, RunUntil,
+// NextEventTime and Step calls. It applies each to an Engine and to the
+// reference queue and requires the same executed ids, clock, Pending
+// and NextEventTime after every op, and finally that the executed order
+// is the live events stably sorted by (at, seq).
+func checkEngineOrder(t testing.TB, ops []byte) {
+	if len(ops) > 4096 {
+		ops = ops[:4096]
+	}
+	next := func() int {
+		if len(ops) == 0 {
+			return 0
+		}
+		b := ops[0]
+		ops = ops[1:]
+		return int(b)
+	}
+	// binade spans 2^-40 .. 2^23 seconds.
+	binade := func(b int) Time { return Time(math.Ldexp(1+float64(next())/256, b%64-40)) }
+	c := &orderCheck{handles: map[int]*Event{}}
+	peeked := Time(-1) // a head the engine looked at beyond the clock
+	for id := 0; len(ops) > 0; {
+		now := c.e.Now()
+		switch next() % 6 {
+		case 0, 1: // schedule
+			at := now
+			m := next()
+			switch m % 5 {
+			case 1:
+				if len(c.queue) > 0 {
+					at = c.queue[next()%len(c.queue)].at
+				}
+			case 2:
+				at = now + binade(next())
+			case 3:
+				if peeked > now {
+					at = now + (peeked-now)*Time(next())/256
+				}
+			case 4:
+				if now == 0 && m&8 != 0 {
+					at = Time(math.Copysign(0, -1))
+				} else {
+					at = Time(math.Nextafter(float64(now), math.Inf(1)))
+				}
+			}
+			// A burst of equal times spans several queue chunks.
+			n := 1
+			if m&0x80 != 0 {
+				n += next()
+			}
+			for ; n > 0; n-- {
+				s := next()
+				spawnD := Time(0)
+				if s&2 != 0 {
+					spawnD = binade(s >> 2)
+				}
+				c.schedule(id, at, s&1 != 0, spawnD)
+				id++
+			}
+		case 2: // cancel any queued event, possibly a cancelled one
+			if len(c.queue) > 0 {
+				r := c.queue[next()%len(c.queue)]
+				r.dead = true
+				c.e.Cancel(c.handles[r.id])
+			}
+		case 3: // RunUntil
+			limit := Infinity
+			switch next() % 4 {
+			case 0:
+				limit = now + binade(next())
+			case 1:
+				if len(c.queue) > 0 {
+					limit = c.queue[next()%len(c.queue)].at
+				}
+			case 2:
+				limit = now
+			}
+			c.e.RunUntil(limit)
+			c.runUntil(limit)
+			if i := c.head(); i >= 0 {
+				peeked = c.queue[i].at
+			}
+		case 4: // NextEventTime
+			got, gok := c.e.NextEventTime()
+			want, wok := c.nextEventTime()
+			if got != want || gok != wok {
+				t.Fatalf("NextEventTime = %v, %v; reference %v, %v", got, gok, want, wok)
+			}
+			if wok {
+				peeked = want
+			}
+		case 5: // Step
+			if got, want := c.e.Step(), c.step(); got != want {
+				t.Fatalf("Step = %v, reference %v", got, want)
+			}
+		}
+		if !slices.Equal(c.ran, c.want) {
+			t.Fatalf("executed %v, reference %v", c.ran, c.want)
+		}
+		if c.e.Now() != c.now || c.e.Pending() != len(c.queue) {
+			t.Fatalf("Now=%v Pending=%d, reference Now=%v Pending=%d", c.e.Now(), c.e.Pending(), c.now, len(c.queue))
+		}
+	}
+	c.e.Run()
+	c.runUntil(Infinity)
+	if !slices.Equal(c.ran, c.want) || c.e.Pending() != 0 {
+		t.Fatalf("drained %v (Pending %d), reference %v", c.ran, c.e.Pending(), c.want)
+	}
+	var live []*orderRef
+	for _, r := range c.all {
+		if !r.dead {
+			live = append(live, r)
+		}
+	}
+	sort.SliceStable(live, func(i, j int) bool {
+		if live[i].at != live[j].at {
+			return live[i].at < live[j].at
+		}
+		return live[i].seq < live[j].seq
+	})
+	for i, r := range live {
+		if c.ran[i] != r.id {
+			t.Fatalf("executed order %v is not the (at, seq) order of the live events", c.ran)
+		}
+	}
+}
+
+// Property: random interleavings of schedules, cancels, RunUntil,
+// NextEventTime and Step execute exactly the live events, in (at, seq)
+// order, including schedules behind a head the engine already peeked.
+func TestEngineOrderMatchesReference(t *testing.T) {
+	r := rng.New(19)
+	for i := 0; i < 400; i++ {
+		ops := make([]byte, 1+r.Intn(600))
+		for j := range ops {
+			ops[j] = byte(r.Uint64())
+		}
+		checkEngineOrder(t, ops)
+	}
+}
+
+func FuzzEngineOrder(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 1, 0, 2, 5, 7, 3, 3, 4, 0, 3, 0, 9, 4, 5})
+	f.Add([]byte{0, 2, 30, 128, 3, 0, 0, 2, 20, 0, 1, 4, 0, 3, 200, 0, 3, 2})
+	f.Fuzz(func(t *testing.T, ops []byte) { checkEngineOrder(t, ops) })
+}
+
+// hold is the state of BenchmarkHoldDeepQueue: each executed event
+// schedules its successor a seeded random offset later.
+type hold struct {
+	e *Engine
+	r *rng.Rand
+}
+
+func holdCall(arg any) {
+	h := arg.(*hold)
+	h.e.ScheduleCall(h.e.Now()+Time(h.r.Exp(1)), holdCall, h)
+}
+
+// BenchmarkHoldDeepQueue is the classic hold model at the depth of a
+// 30000-rank chain: 30000 pending events, and every op pops one and
+// schedules its successor at an exponential offset (mean 1 s).
+func BenchmarkHoldDeepQueue(b *testing.B) {
+	b.ReportAllocs()
+	h := &hold{e: &Engine{}, r: rng.New(1)}
+	for i := 0; i < 30000; i++ {
+		h.e.ScheduleCall(Time(h.r.Exp(1)), holdCall, h)
+	}
+	// Warm up: cycle the queue so every free list is at steady state.
+	for i := 0; i < 3*30000; i++ {
+		h.e.Step()
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.e.Step()
 	}
 }
