@@ -17,45 +17,45 @@
 //	sweep -E 0,0.05,0.1 -bench    # engine scaling demo: serial vs parallel
 //	sweep -spec sweep.json -format csv
 //
-// The -spec flag runs a declarative sweep spec (the JSON document the
-// sweep service consumes; see idlewave.ParseSpec) instead of the flag
-// axes, producing byte-identical output to the equivalent flags. "-"
-// reads the spec from stdin. Only the output flags (-format, -o), the
-// execution flags (-workers, -bench) and the profiling flags compose
-// with it; everything the spec describes is rejected as a conflict.
+// The flags fill a declarative sweep spec (idlewave.Spec, the JSON
+// document the sweep service consumes) that then runs exactly as a
+// -spec document would: the scalar flags set base scenario fields, and
+// each list flag (-E, -noise, -bytes, -d, -dir, -topology, -workload,
+// -machine) becomes an axis whose values are its comma-separated
+// entries, in the spelling the spec's axis kind takes. -machine all
+// names the three reference machines.
 //
-// The -topology flag takes comma-separated topology specs
-// (chain:<n>[:opts], grid:<e1>x<e2>[x...][:opts], torus:<dims>[:opts];
-// opts are open, periodic, uni, bi, d=<k>) and replaces the chain-only
-// -ranks/-d/-dir/-periodic flags with a topology axis.
+// Which flags combine is the spec's rule, checked in one place by
+// spec.Sweep.Canonical: -topology replaces -ranks/-d/-dir/-periodic;
+// -workload also replaces -texec/-bytes; -noise replaces -E. A flag
+// such a replacement makes meaningless is left out of the spec unless
+// it is given explicitly, and then Canonical rejects the pair.
 //
-// The -workload flag takes comma-separated workload specs
-// (triad:<shape>[:ws=..][:msg=..], lbm:<shape>[:cells=..],
-// divide:<shape>[:phase=..], bulk:<shape>[:texec=..][:bytes=..][:topo
-// opts], gen:<shape>[:phase=<dist>][:delay=<dist>:every=<dist>],
-// mix:<part>+<part>, replay:<trace file>; <shape> is a rank count or
-// NxM torus extents) and sweeps them as a workload axis, replacing the
-// shape-and-kernel flags (-ranks/-d/-dir/-periodic/-topology/-texec/
-// -bytes). Generator specs embed distributions with ':' spelled '/'
-// ("gen:64:phase=gamma/shape=2/scale=3ms").
+// The -spec flag runs a spec document instead ("-" reads stdin). Only
+// the output flags (-format, -o), the execution flags (-workers, -bench)
+// and the profiling flags compose with it; an explicit -workers
+// overrides the document's worker count.
 //
-// The -machine flag takes comma-separated machine specs in the
-// ParseMachine syntax — reference names ("emmy"), modified references
-// ("meggie:noise=0") or fully custom systems
-// ("custom:lat=1.2us:bw=6.8GB/s:eager=32768:cores=10x2").
-//
-// The -noise flag takes comma-separated noise profile specs in the
-// ParseNoise syntax ("exp:0.5", "periodic:500us@10ms", "silent",
-// "exp:0.5+periodic:500us@10ms") and sweeps them as an injected-noise
-// profile axis, replacing the scalar -E levels.
+// Flag syntaxes: -topology takes chain:<n>[:opts], grid:<e1>x<e2>[x...]
+// [:opts] or torus:<dims>[:opts] (opts: open, periodic, uni, bi, d=<k>);
+// -workload takes triad:<shape>[:ws=..][:msg=..], lbm:<shape>
+// [:cells=..], divide:<shape>[:phase=..], bulk:<shape>[:texec=..]
+// [:bytes=..][:topo opts], gen:<shape>[:phase=<dist>][:delay=<dist>
+// :every=<dist>], mix:<part>+<part> or replay:<trace file>, where
+// <shape> is a rank count or NxM torus extents and -steps is the default
+// step count of each; -machine takes ParseMachine specs ("emmy",
+// "meggie:noise=0", "custom:lat=1.2us:bw=6.8GB/s:eager=32768:cores=10x2");
+// -noise takes ParseNoise specs ("exp:0.5", "periodic:500us@10ms",
+// "silent", "exp:0.5+periodic:500us@10ms"). Generator specs embed
+// distributions with ':' spelled '/' ("gen:64:phase=gamma/shape=2/scale=3ms").
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
@@ -63,161 +63,209 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/profiling"
 	"repro/internal/viz"
-	"repro/internal/workload"
 )
 
 func main() {
-	var (
-		ranks    = flag.Int("ranks", 24, "number of ranks")
-		steps    = flag.Int("steps", 26, "time steps")
-		texec    = flag.Duration("texec", 3*time.Millisecond, "execution phase length")
-		delayAt  = flag.Int("delay-rank", 0, "rank receiving the injected delay (-1 = none)")
-		delaySt  = flag.Int("delay-step", 2, "step receiving the injected delay")
-		delayDur = flag.Duration("delay", 15*time.Millisecond, "injected delay duration")
-		periodic = flag.Bool("periodic", true, "periodic (ring) boundary instead of open chain")
-		seed     = flag.Uint64("seed", 42, "random seed")
-
-		eList     = flag.String("E", "0", "comma-separated injected noise levels")
-		noiseList = flag.String("noise", "", "comma-separated noise profile specs (e.g. exp:0.5,periodic:500us@10ms,silent); replaces -E")
-		byteList  = flag.String("bytes", "8192", "comma-separated message sizes in bytes")
-		dList     = flag.String("d", "1", "comma-separated neighbor distances")
-		dirList   = flag.String("dir", "bi", "comma-separated directions: uni, bi")
-		topoList  = flag.String("topology", "", "comma-separated topology specs (e.g. grid:32x32:periodic); replaces -ranks/-d/-dir/-periodic")
-		wlList    = flag.String("workload", "", "comma-separated workload specs (e.g. triad:18,lbm:18:cells=90); replaces the shape and kernel flags")
-		machList  = flag.String("machine", "emmy", "comma-separated machine specs: emmy, meggie, simulated, all, or the ParseMachine syntax (e.g. custom:lat=1.2us:bw=6.8GB/s)")
-
-		metricsF = flag.String("metrics", "speed,decay,idle,runtime", "comma-separated metrics: speed, decay, idle, quiet, runtime, events, membw, steptime")
-		workers  = flag.Int("workers", 0, "worker pool size (0 = all cores)")
-		shards   = flag.Int("shards", 0, "parallel-DES shard count per grid point (0 = serial; results are byte-identical at any count)")
-		format   = flag.String("format", "table", "output format: table, csv, json or markdown")
-		outFile  = flag.String("o", "", "write output to a file instead of stdout")
-		bench    = flag.Bool("bench", false, "time the grid with workers=1 and the requested pool, report the speedup")
-
-		specFile = flag.String("spec", "", "run a declarative sweep spec from this JSON file (\"-\" = stdin); replaces the scenario and axis flags")
-
-		cpuProf = flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
-		memProf = flag.String("memprofile", "", "write a heap profile to this file when the sweep finishes")
-	)
-	flag.Parse()
-
-	if *specFile != "" {
-		// A spec document carries the whole sweep; only output,
-		// execution and profiling flags compose with it.
-		rejectConflicts("-spec", "edit the spec document instead",
-			"ranks", "steps", "texec", "delay-rank", "delay-step", "delay",
-			"periodic", "seed", "E", "noise", "bytes", "d", "dir",
-			"topology", "workload", "machine", "metrics", "shards")
-	}
-
-	if *topoList != "" {
-		// -topology supersedes the chain-only shape flags; reject
-		// explicit uses instead of silently running a different scenario
-		// than the flags describe.
-		rejectConflicts("-topology", "fold them into the topology spec (e.g. grid:32x32:periodic:uni:d=2)",
-			"ranks", "periodic", "d", "dir")
-	}
-	if *wlList != "" {
-		// -workload supersedes both the chain shape flags and the
-		// kernel parameters: each workload spec fixes its own topology,
-		// execution phase and message size.
-		rejectConflicts("-workload", "fold them into the workload spec (e.g. lbm:16x16:cells=90:steps=30)",
-			"ranks", "periodic", "d", "dir", "topology", "texec", "bytes")
-	}
-	if *noiseList != "" {
-		// -noise supersedes the scalar noise level: a profile axis
-		// replaces the E axis entirely.
-		rejectConflicts("-noise", "express levels as exp:<level> noise specs", "E")
-	}
-
-	var spec idlewave.SweepSpec
-	var err error
-	if *specFile != "" {
-		spec, err = loadSpec(*specFile, *workers)
-	} else {
-		spec, err = buildSpec(specFlags{
-			ranks: *ranks, steps: *steps, texec: *texec,
-			delayAt: *delayAt, delayStep: *delaySt, delayDur: *delayDur,
-			periodic: *periodic, seed: *seed,
-			eList: *eList, noiseList: *noiseList, byteList: *byteList, dList: *dList,
-			dirList: *dirList, topoList: *topoList, wlList: *wlList,
-			machList: *machList,
-			metrics:  *metricsF, workers: *workers, shards: *shards,
-		})
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
-		os.Exit(1)
-	}
-
-	switch *format {
-	case "table", "csv", "json", "markdown":
+	err := run(os.Args[1:], os.Stdout)
+	switch {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+	case errors.As(err, new(flagError)):
+		os.Exit(2) // the flag package already reported it
 	default:
-		fmt.Fprintf(os.Stderr, "sweep: unknown format %q (want table, csv, json or markdown)\n", *format)
-		os.Exit(1)
-	}
-
-	// Profile only the sweep itself, not flag parsing or output
-	// formatting. stop must run before any exit: os.Exit skips defers.
-	stopProf, err := profiling.Start(*cpuProf, *memProf)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
-		os.Exit(1)
-	}
-
-	if *bench {
-		err := runBench(spec)
-		if perr := stopProf(); err == nil {
-			err = perr
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	tbl, err := idlewave.Sweep(spec)
-	if perr := stopProf(); err == nil {
-		err = perr
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
-		os.Exit(1)
-	}
-	w := os.Stdout
-	var f *os.File
-	if *outFile != "" {
-		f, err = os.Create(*outFile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
-			os.Exit(1)
-		}
-		w = f
-	}
-	switch *format {
-	case "csv":
-		err = tbl.WriteCSV(w)
-	case "json":
-		err = tbl.WriteJSON(w)
-	case "markdown":
-		err = tbl.WriteMarkdown(w)
-	default:
-		err = viz.Table(w, tbl.Rows())
-	}
-	if err == nil && f != nil {
-		err = f.Close()
-	}
-	if err != nil {
 		fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-// loadSpec reads a declarative sweep spec ("-" = stdin) and builds the
-// runnable sweep from it. An explicit -workers flag overrides the
-// spec's worker count — an execution knob, not part of the sweep's
-// content (the results are identical either way).
-func loadSpec(path string, workers int) (idlewave.SweepSpec, error) {
+// flagError is a command line the flag package could not parse.
+type flagError struct{ error }
+
+// specFlags are the flags a spec document replaces.
+var specFlags = []string{
+	"ranks", "steps", "texec", "delay-rank", "delay-step", "delay",
+	"periodic", "seed", "E", "noise", "bytes", "d", "dir",
+	"topology", "workload", "machine", "metrics", "shards",
+}
+
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
+	var (
+		ranks    = fs.Int("ranks", 24, "number of ranks")
+		steps    = fs.Int("steps", 26, "time steps")
+		texec    = fs.Duration("texec", 3*time.Millisecond, "execution phase length")
+		delayAt  = fs.Int("delay-rank", 0, "rank receiving the injected delay (-1 = none)")
+		delaySt  = fs.Int("delay-step", 2, "step receiving the injected delay")
+		delayDur = fs.Duration("delay", 15*time.Millisecond, "injected delay duration")
+		periodic = fs.Bool("periodic", true, "periodic (ring) boundary instead of open chain")
+		seed     = fs.Uint64("seed", 42, "random seed")
+
+		eList     = fs.String("E", "0", "comma-separated injected noise levels")
+		noiseList = fs.String("noise", "", "comma-separated noise profile specs (e.g. exp:0.5,periodic:500us@10ms,silent); replaces -E")
+		byteList  = fs.String("bytes", "8192", "comma-separated message sizes in bytes")
+		dList     = fs.String("d", "1", "comma-separated neighbor distances")
+		dirList   = fs.String("dir", "bi", "comma-separated directions: uni, bi")
+		topoList  = fs.String("topology", "", "comma-separated topology specs (e.g. grid:32x32:periodic); replaces -ranks/-d/-dir/-periodic")
+		wlList    = fs.String("workload", "", "comma-separated workload specs (e.g. triad:18,lbm:18:cells=90); replaces the shape and kernel flags")
+		machList  = fs.String("machine", "emmy", "comma-separated machine specs: emmy, meggie, simulated, all, or the ParseMachine syntax (e.g. custom:lat=1.2us:bw=6.8GB/s)")
+
+		metricsF = fs.String("metrics", "speed,decay,idle,runtime", "comma-separated metrics: speed, decay, idle, quiet, runtime, events, membw, steptime")
+		workers  = fs.Int("workers", 0, "worker pool size (0 = all cores)")
+		shards   = fs.Int("shards", 0, "parallel-DES shard count per grid point (0 = serial; results are byte-identical at any count)")
+		format   = fs.String("format", "table", "output format: table, csv, json or markdown")
+		outFile  = fs.String("o", "", "write output to a file instead of stdout")
+		bench    = fs.Bool("bench", false, "time the grid with workers=1 and the requested pool, report the speedup")
+
+		specFile = fs.String("spec", "", "run a declarative sweep spec from this JSON file (\"-\" = stdin); replaces the scenario and axis flags")
+
+		cpuProf = fs.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
+		memProf = fs.String("memprofile", "", "write a heap profile to this file when the sweep finishes")
+	)
+	if err := fs.Parse(args); err != nil {
+		return flagError{err}
+	}
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+
+	// Flags without a spec field of their own: a spec document replaces
+	// every scenario flag, and cmd/sweep has no flag that would rebind a
+	// workload axis to a topology axis.
+	for _, c := range []struct {
+		by       string
+		on       bool
+		replaces []string
+		hint     string
+	}{
+		{"-spec", *specFile != "", specFlags, "edit the spec document instead"},
+		{"-workload", *wlList != "", []string{"topology"}, "fold the shape into the workload spec (e.g. lbm:16x16:cells=90:steps=30)"},
+	} {
+		var given []string
+		for _, n := range c.replaces {
+			if c.on && set[n] {
+				given = append(given, "-"+n)
+			}
+		}
+		if len(given) > 0 {
+			return fmt.Errorf("%s replaces %s; %s", c.by, strings.Join(given, ", "), c.hint)
+		}
+	}
+
+	var ws *idlewave.Spec
+	if *specFile != "" {
+		var err error
+		if ws, err = readSpec(*specFile); err != nil {
+			return err
+		}
+		if set["workers"] {
+			ws.Workers = *workers
+		}
+	} else {
+		// A flag some other given flag replaces keeps its default out of
+		// the spec; given explicitly it goes in, and Canonical rejects it.
+		chain := *topoList == "" && *wlList == ""
+		keep := func(name string, applies bool) bool { return applies || set[name] }
+		ws = &idlewave.Spec{
+			Base:    idlewave.SpecScenario{Steps: *steps, Seed: *seed, Shards: *shards},
+			Metrics: strings.Split(*metricsF, ","),
+			Workers: *workers,
+		}
+		if keep("ranks", chain) {
+			ws.Base.Ranks = *ranks
+		}
+		if keep("texec", *wlList == "") {
+			ws.Base.Texec = texec.String()
+		}
+		if keep("periodic", chain) {
+			ws.Base.Boundary = map[bool]string{true: "periodic", false: "open"}[*periodic]
+		}
+		if *delayAt >= 0 {
+			ws.Base.Delay = []idlewave.SpecDelay{{Rank: *delayAt, Step: *delaySt, Duration: delayDur.String()}}
+		}
+		machines := *machList
+		if machines == "all" {
+			var names []string
+			for _, m := range cluster.All() {
+				names = append(names, m.Name)
+			}
+			machines = strings.Join(names, ",")
+		}
+		for _, ax := range []struct {
+			kind, list string
+			on         bool
+		}{
+			{"machine", machines, true},
+			{"noiseprofile", *noiseList, *noiseList != ""},
+			{"noise", *eList, keep("E", *noiseList == "")},
+			{"workload", *wlList, *wlList != ""},
+			{"bytes", *byteList, keep("bytes", *wlList == "")},
+			{"topology", *topoList, *topoList != ""},
+			{"d", *dList, keep("d", chain)},
+			{"direction", *dirList, keep("dir", chain)},
+		} {
+			if ax.on {
+				ws.Axes = append(ws.Axes, idlewave.SpecAxis{Kind: ax.kind, Values: strings.Split(ax.list, ",")})
+			}
+		}
+	}
+	spec, err := idlewave.SweepFromSpec(ws)
+	if err != nil {
+		return err
+	}
+
+	switch *format {
+	case "table", "csv", "json", "markdown":
+	default:
+		return fmt.Errorf("unknown format %q (want table, csv, json or markdown)", *format)
+	}
+
+	// Profile only the sweep itself, not flag parsing or output
+	// formatting.
+	stopProf, err := profiling.Start(*cpuProf, *memProf)
+	if err != nil {
+		return err
+	}
+	if *bench {
+		err := runBench(stdout, spec)
+		if perr := stopProf(); err == nil {
+			err = perr
+		}
+		return err
+	}
+	tbl, err := idlewave.Sweep(spec)
+	if perr := stopProf(); err == nil {
+		err = perr
+	}
+	if err != nil {
+		return err
+	}
+
+	if *outFile == "" {
+		return writeTable(stdout, tbl, *format)
+	}
+	f, err := os.Create(*outFile)
+	if err != nil {
+		return err
+	}
+	if err := writeTable(f, tbl, *format); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+func writeTable(w io.Writer, tbl *idlewave.SweepTable, format string) error {
+	switch format {
+	case "csv":
+		return tbl.WriteCSV(w)
+	case "json":
+		return tbl.WriteJSON(w)
+	case "markdown":
+		return tbl.WriteMarkdown(w)
+	}
+	return viz.Table(w, tbl.Rows())
+}
+
+// readSpec reads a declarative sweep spec ("-" = stdin).
+func readSpec(path string) (*idlewave.Spec, error) {
 	var (
 		data []byte
 		err  error
@@ -228,161 +276,17 @@ func loadSpec(path string, workers int) (idlewave.SweepSpec, error) {
 		data, err = os.ReadFile(path)
 	}
 	if err != nil {
-		return idlewave.SweepSpec{}, err
+		return nil, err
 	}
-	ws, err := idlewave.ParseSpec(data)
-	if err != nil {
-		return idlewave.SweepSpec{}, err
-	}
-	spec, err := idlewave.SweepFromSpec(ws)
-	if err != nil {
-		return idlewave.SweepSpec{}, err
-	}
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "workers" {
-			spec.Workers = workers
-		}
-	})
-	return spec, nil
+	return idlewave.ParseSpec(data)
 }
 
-// rejectConflicts exits with a usage error when any of the named flags
-// was set explicitly alongside the superseding flag.
-func rejectConflicts(superseder, hint string, names ...string) {
-	super := map[string]bool{}
-	for _, n := range names {
-		super[n] = true
-	}
-	var conflict []string
-	flag.Visit(func(f *flag.Flag) {
-		if super[f.Name] {
-			conflict = append(conflict, "-"+f.Name)
-		}
-	})
-	if len(conflict) > 0 {
-		fmt.Fprintf(os.Stderr, "sweep: %s replaces %s; %s\n",
-			superseder, strings.Join(conflict, ", "), hint)
-		os.Exit(1)
-	}
-}
-
-type specFlags struct {
-	ranks, steps       int
-	texec, delayDur    time.Duration
-	delayAt, delayStep int
-	periodic           bool
-	seed               uint64
-	eList, noiseList   string
-	byteList           string
-	dList, dirList     string
-	topoList, wlList   string
-	machList, metrics  string
-	workers            int
-	shards             int
-}
-
-func buildSpec(f specFlags) (idlewave.SweepSpec, error) {
-	var zero idlewave.SweepSpec
-	base := idlewave.ScenarioSpec{Seed: f.seed, Shards: f.shards}
-	if f.delayAt >= 0 {
-		base.Delay = []idlewave.Injection{idlewave.Inject(f.delayAt, f.delayStep, f.delayDur)}
-	}
-
-	var axes []idlewave.SweepAxis
-	machines, err := parseMachines(f.machList)
-	if err != nil {
-		return zero, err
-	}
-	axes = append(axes, idlewave.MachineAxis(machines...))
-	if f.noiseList != "" {
-		// A noise-profile axis supersedes the scalar E axis (main
-		// rejects explicit -E uses).
-		var ps []idlewave.NoiseProfile
-		for _, p := range strings.Split(f.noiseList, ",") {
-			np, err := idlewave.ParseNoise(strings.TrimSpace(p))
-			if err != nil {
-				return zero, fmt.Errorf("-noise: %w", err)
-			}
-			ps = append(ps, np)
-		}
-		axes = append(axes, idlewave.NoiseProfileAxis(ps...))
-	} else {
-		es, err := parseFloats(f.eList)
-		if err != nil {
-			return zero, fmt.Errorf("-E: %w", err)
-		}
-		axes = append(axes, idlewave.NoiseAxis(es...))
-	}
-
-	if f.wlList != "" {
-		// A workload axis supersedes both the chain shape flags and the
-		// kernel flags (main rejects explicit uses); only -steps is
-		// threaded through as the default step count of each spec.
-		var wls []idlewave.Workload
-		for _, p := range strings.Split(f.wlList, ",") {
-			wl, err := workload.ParseWith(p, workload.Defaults{Steps: f.steps})
-			if err != nil {
-				return zero, fmt.Errorf("-workload: %w", err)
-			}
-			wls = append(wls, wl)
-		}
-		axes = append(axes, idlewave.WorkloadAxis(wls...))
-		metrics, err := parseMetrics(f.metrics, f.delayAt)
-		if err != nil {
-			return zero, err
-		}
-		return idlewave.SweepSpec{Base: base, Axes: axes, Metrics: metrics, Workers: f.workers}, nil
-	}
-
-	base.Ranks = f.ranks
-	base.Steps = f.steps
-	base.Texec = f.texec
-	if f.periodic {
-		base.Boundary = idlewave.Periodic
-	}
-	bytes, err := parseInts(f.byteList)
-	if err != nil {
-		return zero, fmt.Errorf("-bytes: %w", err)
-	}
-	axes = append(axes, idlewave.MessageAxis(bytes...))
-	if f.topoList != "" {
-		// An explicit topology axis supersedes the chain-only flags
-		// (main rejects explicit -ranks/-periodic/-d/-dir uses).
-		var topos []idlewave.Topology
-		for _, p := range strings.Split(f.topoList, ",") {
-			tp, err := idlewave.ParseTopology(p)
-			if err != nil {
-				return zero, fmt.Errorf("-topology: %w", err)
-			}
-			topos = append(topos, tp)
-		}
-		axes = append(axes, idlewave.TopologyAxis(topos...))
-	} else {
-		ds, err := parseInts(f.dList)
-		if err != nil {
-			return zero, fmt.Errorf("-d: %w", err)
-		}
-		axes = append(axes, idlewave.DistanceAxis(ds...))
-		dirs, err := parseDirections(f.dirList)
-		if err != nil {
-			return zero, fmt.Errorf("-dir: %w", err)
-		}
-		axes = append(axes, idlewave.DirectionAxis(dirs...))
-	}
-
-	metrics, err := parseMetrics(f.metrics, f.delayAt)
-	if err != nil {
-		return zero, err
-	}
-	return idlewave.SweepSpec{Base: base, Axes: axes, Metrics: metrics, Workers: f.workers}, nil
-}
-
-func runBench(spec idlewave.SweepSpec) error {
+func runBench(w io.Writer, spec idlewave.SweepSpec) error {
 	points := 1
 	for _, ax := range spec.Axes {
 		points *= len(ax.Labels)
 	}
-	fmt.Printf("grid: %d points\n", points)
+	fmt.Fprintf(w, "grid: %d points\n", points)
 
 	serial := spec
 	serial.Workers = 1
@@ -391,7 +295,7 @@ func runBench(spec idlewave.SweepSpec) error {
 		return err
 	}
 	tSerial := time.Since(t0)
-	fmt.Printf("workers=1: %v\n", tSerial.Round(time.Millisecond))
+	fmt.Fprintf(w, "workers=1: %v\n", tSerial.Round(time.Millisecond))
 
 	t0 = time.Now()
 	if _, err := idlewave.Sweep(spec); err != nil {
@@ -402,79 +306,7 @@ func runBench(spec idlewave.SweepSpec) error {
 	if spec.Workers < 1 {
 		label = "all cores"
 	}
-	fmt.Printf("workers=%s: %v (%.2fx speedup)\n",
+	fmt.Fprintf(w, "workers=%s: %v (%.2fx speedup)\n",
 		label, tPar.Round(time.Millisecond), tSerial.Seconds()/tPar.Seconds())
 	return nil
-}
-
-func parseFloats(s string) ([]float64, error) {
-	parts := strings.Split(s, ",")
-	out := make([]float64, 0, len(parts))
-	for _, p := range parts {
-		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad number %q", p)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-func parseInts(s string) ([]int, error) {
-	parts := strings.Split(s, ",")
-	out := make([]int, 0, len(parts))
-	for _, p := range parts {
-		v, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil {
-			return nil, fmt.Errorf("bad integer %q", p)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-func parseDirections(s string) ([]idlewave.Direction, error) {
-	var out []idlewave.Direction
-	for _, p := range strings.Split(s, ",") {
-		switch strings.TrimSpace(p) {
-		case "uni", "unidirectional":
-			out = append(out, idlewave.Unidirectional)
-		case "bi", "bidirectional":
-			out = append(out, idlewave.Bidirectional)
-		default:
-			return nil, fmt.Errorf("unknown direction %q (want uni or bi)", p)
-		}
-	}
-	return out, nil
-}
-
-func parseMachines(s string) ([]idlewave.Machine, error) {
-	if s == "all" {
-		return cluster.All(), nil
-	}
-	var out []idlewave.Machine
-	for _, p := range strings.Split(s, ",") {
-		m, err := idlewave.ParseMachine(strings.TrimSpace(p))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, m)
-	}
-	return out, nil
-}
-
-func parseMetrics(s string, delayAt int) ([]idlewave.Metric, error) {
-	src := delayAt
-	if src < 0 {
-		src = 0
-	}
-	var out []idlewave.Metric
-	for _, p := range strings.Split(s, ",") {
-		m, err := idlewave.MetricByName(p, src)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, m)
-	}
-	return out, nil
 }

@@ -478,20 +478,27 @@ func (s ScenarioSpec) run(topo Topology, progs []mpisim.Program, recorder *noise
 		}
 		cfg.Net = net
 	}
-	natural, err := s.Machine.NaturalNoise(s.Seed, texec)
-	if err != nil {
+	// buildNoise combines the machine's natural noise with the injected
+	// noise (Noise, or the NoiseLevel exponential), interposing recorder.
+	buildNoise := func() (mpisim.NoiseFunc, error) {
+		natural, err := s.Machine.NaturalNoise(s.Seed, texec)
+		if err != nil {
+			return nil, err
+		}
+		var injected mpisim.NoiseFunc
+		if s.Noise != nil {
+			if injected, err = s.Noise.Build(s.Seed+1, texec); err != nil {
+				return nil, err
+			}
+		} else {
+			injected = noise.Exponential(s.Seed+1, s.NoiseLevel, texec)
+		}
+		return recorder.wrap(noise.Combine(natural, injected)), nil
+	}
+	var err error
+	if cfg.Noise, err = buildNoise(); err != nil {
 		return nil, nil, err
 	}
-	var injected mpisim.NoiseFunc
-	if s.Noise != nil {
-		injected, err = s.Noise.Build(s.Seed+1, texec)
-		if err != nil {
-			return nil, nil, err
-		}
-	} else {
-		injected = noise.Exponential(s.Seed+1, s.NoiseLevel, texec)
-	}
-	cfg.Noise = recorder.wrap(noise.Combine(natural, injected))
 	if s.Shards < 0 {
 		return nil, nil, fmt.Errorf("negative shard count %d", s.Shards)
 	}
@@ -503,20 +510,11 @@ func (s ScenarioSpec) run(topo Topology, progs []mpisim.Program, recorder *noise
 		// byte-identical streams. Construction succeeded above with the
 		// same inputs, so a failure here is a programming error.
 		cfg.NoiseFactory = func() mpisim.NoiseFunc {
-			nat, err := s.Machine.NaturalNoise(s.Seed, texec)
+			fn, err := buildNoise()
 			if err != nil {
 				panic(fmt.Sprintf("idlewave: noise rebuild failed after validation: %v", err))
 			}
-			var inj mpisim.NoiseFunc
-			if s.Noise != nil {
-				inj, err = s.Noise.Build(s.Seed+1, texec)
-				if err != nil {
-					panic(fmt.Sprintf("idlewave: noise rebuild failed after validation: %v", err))
-				}
-			} else {
-				inj = noise.Exponential(s.Seed+1, s.NoiseLevel, texec)
-			}
-			return recorder.wrap(noise.Combine(nat, inj))
+			return fn
 		}
 	}
 

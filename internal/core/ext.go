@@ -123,7 +123,12 @@ func runExtHierarchy(opts Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	split := &splitModel{boundary: boundary, left: fast, right: slow}
+	// Ranks below the boundary share one socket and talk over the fast
+	// links; every pair touching the slow domain uses the slow ones.
+	split, err := netmodel.NewHierarchical(domainLocator(boundary), fast, slow, slow)
+	if err != nil {
+		return nil, err
+	}
 
 	topo := chainOrDie(n, 1, topology.Unidirectional, topology.Open)
 	b := workload.BulkSync{
@@ -193,32 +198,10 @@ func runExtHierarchy(opts Options) (*Report, error) {
 	return rep, nil
 }
 
-// splitModel routes rank pairs to a fast or slow inner model depending on
-// which side of the boundary the slower partner lives.
-type splitModel struct {
-	boundary    int
-	left, right netmodel.Model
-}
+// domainLocator places the ranks below it on one socket and every other
+// rank on a node of its own.
+type domainLocator int
 
-func (s *splitModel) pick(from, to int) netmodel.Model {
-	if from >= s.boundary || to >= s.boundary {
-		return s.right
-	}
-	return s.left
-}
+func (b domainLocator) SameSocket(x, y int) bool { return x == y || (x < int(b) && y < int(b)) }
 
-func (s *splitModel) Transfer(from, to, bytes int) sim.Time {
-	return s.pick(from, to).Transfer(from, to, bytes)
-}
-
-func (s *splitModel) SendOverhead(from, to, bytes int) sim.Time {
-	return s.pick(from, to).SendOverhead(from, to, bytes)
-}
-
-func (s *splitModel) RecvOverhead(from, to, bytes int) sim.Time {
-	return s.pick(from, to).RecvOverhead(from, to, bytes)
-}
-
-func (s *splitModel) ProtocolFor(from, to, bytes int) netmodel.Protocol {
-	return s.pick(from, to).ProtocolFor(from, to, bytes)
-}
+func (b domainLocator) SameNode(x, y int) bool { return b.SameSocket(x, y) }

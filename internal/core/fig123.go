@@ -59,7 +59,11 @@ func runFig1(opts Options) (*Report, error) {
 		if err != nil {
 			return aPoint{}, err
 		}
-		res, err := memWorkloadRun(m, wl, natural)
+		place, err := m.Placement(ranks)
+		if err != nil {
+			return aPoint{}, err
+		}
+		res, err := memRun(m, place, wl, natural)
 		if err != nil {
 			return aPoint{}, err
 		}
@@ -136,7 +140,11 @@ func runFig1(opts Options) (*Report, error) {
 		if err != nil {
 			return cPoint{}, err
 		}
-		res, err := spreadWorkloadRun(m, wl, 1, natural)
+		place, err := m.SpreadPlacement(ranks, 1) // the paper's PPN=1 setup
+		if err != nil {
+			return cPoint{}, err
+		}
+		res, err := memRun(m, place, wl, natural)
 		if err != nil {
 			return cPoint{}, err
 		}
@@ -199,7 +207,11 @@ func runFig2(opts Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := memWorkloadRun(m, wl, natural)
+	place, err := m.Placement(ranks)
+	if err != nil {
+		return nil, err
+	}
+	res, err := memRun(m, place, wl, natural)
 	if err != nil {
 		return nil, err
 	}

@@ -168,12 +168,20 @@ func (s Sweep) Canonical() (Sweep, error) {
 	out.Base = base
 
 	out.Axes = make([]Axis, len(s.Axes))
+	set := base.setFields(make([]string, 0, 24))
 	for i, a := range s.Axes {
-		ca, err := a.canonical()
+		ca, err := a.canonical(base.Steps)
 		if err != nil {
 			return Sweep{}, fmt.Errorf("spec: axis %d: %w", i, err)
 		}
+		if contains(set, ca.Kind) {
+			return Sweep{}, fmt.Errorf("spec: axis %d: kind %q given twice", i, ca.Kind)
+		}
+		set = append(set, ca.Kind)
 		out.Axes[i] = ca
+	}
+	if err := checkSupersede(set); err != nil {
+		return Sweep{}, err
 	}
 
 	metrics := s.Metrics
@@ -201,7 +209,7 @@ func (s Sweep) Canonical() (Sweep, error) {
 func (s Scenario) Canonical() (Scenario, error) {
 	out := s
 	var err error
-	if out.Workload, err = canonWorkload(s.Workload); err != nil {
+	if out.Workload, err = canonWorkload(s.Workload, s.Steps); err != nil {
 		return Scenario{}, fmt.Errorf("spec: workload: %w", err)
 	}
 	if out.Topology, err = canonTopology(s.Topology); err != nil {
@@ -242,8 +250,8 @@ func (s Scenario) Canonical() (Scenario, error) {
 	if s.NoiseLevel < 0 {
 		return Scenario{}, fmt.Errorf("spec: negative noise_level %g", s.NoiseLevel)
 	}
-	if s.Noise != "" && s.NoiseLevel != 0 {
-		return Scenario{}, fmt.Errorf("spec: noise and noise_level are mutually exclusive")
+	if err := checkSupersede(out.setFields(make([]string, 0, 10))); err != nil {
+		return Scenario{}, err
 	}
 	out.Delay = make([]Delay, len(s.Delay))
 	for i, d := range s.Delay {
@@ -266,6 +274,74 @@ func (s Scenario) Canonical() (Scenario, error) {
 		}
 	}
 	return out, nil
+}
+
+// supersede lists the conflict rules. A spec that sets a field of by
+// together with a field of replaces is rejected: the first would
+// silently drop or overwrite the second, or fail at every grid point.
+// Base fields are named "base.<JSON key>", axes by their kind.
+var supersede = []struct {
+	by, replaces []string
+	hint         string
+}{
+	{[]string{"base.noise"}, []string{"base.noise_level"}, "pick one"},
+	{[]string{"base.topology", "base.workload", "topology", "workload"},
+		[]string{"base.d", "base.direction", "base.boundary", "d", "direction"},
+		"fold them into the topology or workload spelling (e.g. chain:64:periodic:uni:d=2)"},
+	{[]string{"topology", "workload"}, []string{"base.ranks", "ranks"},
+		"each spelling fixes its own rank count"},
+	{[]string{"workload"}, []string{"base.texec", "base.message_bytes", "bytes"},
+		"fold them into the workload spellings (e.g. bulk:64:texec=3ms:bytes=8192)"},
+	{[]string{"noiseprofile"}, []string{"base.noise_level", "noise"},
+		"express levels as exp:<level> profiles"},
+	{[]string{"noise"}, []string{"base.noise"}, "pick one"},
+}
+
+// setFields appends the supersede names of the scenario's set
+// (non-zero) fields.
+func (s Scenario) setFields(set []string) []string {
+	for _, f := range [...]struct {
+		name string
+		on   bool
+	}{
+		{"base.workload", s.Workload != ""}, {"base.topology", s.Topology != ""},
+		{"base.noise", s.Noise != ""}, {"base.noise_level", s.NoiseLevel != 0},
+		{"base.ranks", s.Ranks != 0}, {"base.texec", s.Texec != ""},
+		{"base.message_bytes", s.MessageBytes != 0}, {"base.d", s.NeighborDistance != 0},
+		{"base.direction", s.Direction != ""}, {"base.boundary", s.Boundary != ""},
+	} {
+		if f.on {
+			set = append(set, f.name)
+		}
+	}
+	return set
+}
+
+// checkSupersede reports the first supersede rule the set fields break.
+func checkSupersede(set []string) error {
+	name := func(f string) string {
+		if field, ok := strings.CutPrefix(f, "base."); ok {
+			return field
+		}
+		return f + " axis"
+	}
+	for _, r := range supersede {
+		for _, by := range r.by {
+			if !contains(set, by) {
+				continue
+			}
+			var hit []string
+			for _, f := range r.replaces {
+				if contains(set, f) {
+					hit = append(hit, name(f))
+				}
+			}
+			if len(hit) > 0 {
+				return fmt.Errorf("spec: %s replaces %s; %s", name(by), strings.Join(hit, ", "), r.hint)
+			}
+		}
+	}
+	return nil
 }
 
 // Hash returns the spec's content address: the SHA-256 of the canonical
@@ -320,12 +396,16 @@ func (s Sweep) Slice(coords []int) (Sweep, error) {
 	return out, nil
 }
 
-// canonical validates an axis and normalizes its values.
-func (a Axis) canonical() (Axis, error) {
+// canonical validates an axis and normalizes its values; steps is the
+// base step count workload values are parsed under.
+func (a Axis) canonical(steps int) (Axis, error) {
 	kind := strings.ToLower(strings.TrimSpace(a.Kind))
 	canon, ok := axisValueCanon[kind]
 	if !ok {
 		return Axis{}, fmt.Errorf("unknown kind %q (want one of %s)", a.Kind, strings.Join(AxisKinds, ", "))
+	}
+	if kind == "workload" {
+		canon = mustValue(func(v string) (string, error) { return canonWorkload(v, steps) })
 	}
 	if len(a.Values) == 0 {
 		return Axis{}, fmt.Errorf("kind %q has no values", kind)
@@ -353,7 +433,7 @@ var axisValueCanon = map[string]func(string) (string, error){
 	"ranks":        canonPosInt,
 	"seed":         canonUint,
 	"topology":     mustValue(canonTopology),
-	"workload":     mustValue(canonWorkload),
+	"workload":     nil, // needs the base step count; see Axis.canonical
 	"netmodel":     mustValue(canonNetModel),
 	"latency":      canonDuration,
 	"bandwidth":    canonRate,
@@ -383,7 +463,12 @@ func canonTopology(v string) (string, error) {
 	return t.String(), nil
 }
 
-func canonWorkload(v string) (string, error) {
+// canonWorkload renders a workload in its canonical spelling. The
+// renderings omit steps=DefaultSteps, so under a base step count steps
+// that differs from it an explicit steps=DefaultSteps would re-parse
+// with the base count instead; such a spelling keeps its trimmed user
+// form, like canonMachine.
+func canonWorkload(v string, steps int) (string, error) {
 	v = strings.TrimSpace(v)
 	if v == "" {
 		return "", nil
@@ -392,7 +477,21 @@ func canonWorkload(v string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return fmt.Sprint(w), nil
+	c := fmt.Sprint(w)
+	if steps == 0 || steps == workload.DefaultSteps || workloadUnder(c, steps) == workloadUnder(v, steps) {
+		return c, nil
+	}
+	return v, nil
+}
+
+// workloadUnder renders what spelling v means under the base step
+// count steps ("" if it does not parse).
+func workloadUnder(v string, steps int) string {
+	w, err := workload.ParseWith(v, workload.Defaults{Steps: steps})
+	if err != nil {
+		return ""
+	}
+	return fmt.Sprint(w)
 }
 
 // canonDistribution normalizes a ParseDistribution spelling (so

@@ -1,6 +1,7 @@
 package spec
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 )
@@ -67,25 +68,59 @@ func TestCanonicalComponentStrings(t *testing.T) {
 func TestCanonicalRejects(t *testing.T) {
 	base := validSweep()
 	for name, mutate := range map[string]func(*Sweep){
-		"bad workload":       func(s *Sweep) { s.Base.Workload = "warp:8" },
-		"bad topology":       func(s *Sweep) { s.Base.Topology = "blob:9" },
-		"bad machine":        func(s *Sweep) { s.Base.Machine = "deepthought" },
-		"bad noise":          func(s *Sweep) { s.Base.Noise = "loud" },
-		"bad netmodel":       func(s *Sweep) { s.Base.NetModel = "hier(a|b|c)" },
-		"bad texec":          func(s *Sweep) { s.Base.Texec = "-3ms" },
-		"bad direction":      func(s *Sweep) { s.Base.Direction = "sideways" },
-		"bad boundary":       func(s *Sweep) { s.Base.Boundary = "wall" },
-		"bad trace":          func(s *Sweep) { s.Base.Trace = "verbose" },
-		"negative ranks":     func(s *Sweep) { s.Base.Ranks = -1 },
-		"negative shards":    func(s *Sweep) { s.Base.Shards = -1 },
-		"negative workers":   func(s *Sweep) { s.Workers = -1 },
-		"noise conflict":     func(s *Sweep) { s.Base.Noise = "exp:0.5"; s.Base.NoiseLevel = 0.5 },
-		"bad delay duration": func(s *Sweep) { s.Base.Delay[0].Duration = "0s" },
-		"negative delay":     func(s *Sweep) { s.Base.Delay[0].Rank = -1 },
-		"unknown axis":       func(s *Sweep) { s.Axes[0].Kind = "flavor" },
-		"empty axis":         func(s *Sweep) { s.Axes[0].Values = nil },
-		"bad axis value":     func(s *Sweep) { s.Axes[1].Values[0] = "many" },
-		"unknown metric":     func(s *Sweep) { s.Metrics = []string{"vibes"} },
+		"bad workload":           func(s *Sweep) { s.Base.Workload = "warp:8" },
+		"bad topology":           func(s *Sweep) { s.Base.Topology = "blob:9" },
+		"bad machine":            func(s *Sweep) { s.Base.Machine = "deepthought" },
+		"bad noise":              func(s *Sweep) { s.Base.Noise = "loud" },
+		"bad netmodel":           func(s *Sweep) { s.Base.NetModel = "hier(a|b|c)" },
+		"bad texec":              func(s *Sweep) { s.Base.Texec = "-3ms" },
+		"bad direction":          func(s *Sweep) { s.Base.Direction = "sideways" },
+		"bad boundary":           func(s *Sweep) { s.Base.Boundary = "wall" },
+		"bad trace":              func(s *Sweep) { s.Base.Trace = "verbose" },
+		"negative ranks":         func(s *Sweep) { s.Base.Ranks = -1 },
+		"negative shards":        func(s *Sweep) { s.Base.Shards = -1 },
+		"negative workers":       func(s *Sweep) { s.Workers = -1 },
+		"noise conflict":         func(s *Sweep) { s.Base.Noise = "exp:0.5"; s.Base.NoiseLevel = 0.5 },
+		"bad delay duration":     func(s *Sweep) { s.Base.Delay[0].Duration = "0s" },
+		"negative delay":         func(s *Sweep) { s.Base.Delay[0].Rank = -1 },
+		"unknown axis":           func(s *Sweep) { s.Axes[0].Kind = "flavor" },
+		"empty axis":             func(s *Sweep) { s.Axes[0].Values = nil },
+		"bad axis value":         func(s *Sweep) { s.Axes[1].Values[0] = "many" },
+		"unknown metric":         func(s *Sweep) { s.Metrics = []string{"vibes"} },
+		"topology with d":        func(s *Sweep) { s.Base.NeighborDistance = 2 },
+		"topology with boundary": func(s *Sweep) { s.Base.Boundary = "open" },
+		"workload with direction axis": func(s *Sweep) {
+			s.Base.Topology, s.Base.Workload = "", "triad:8"
+			s.Axes[1] = Axis{Kind: "direction", Values: []string{"uni"}}
+		},
+		"topology axis with ranks": func(s *Sweep) {
+			s.Base.Topology, s.Base.Ranks = "", 24
+			s.Axes[1] = Axis{Kind: "topology", Values: []string{"chain:8"}}
+		},
+		"workload axis with ranks axis": func(s *Sweep) {
+			s.Base.Topology = ""
+			s.Axes[1] = Axis{Kind: "workload", Values: []string{"triad:8"}}
+			s.Axes = append(s.Axes, Axis{Kind: "ranks", Values: []string{"8"}})
+		},
+		"workload axis with texec": func(s *Sweep) {
+			s.Base.Topology, s.Base.Texec = "", "3ms"
+			s.Axes[1] = Axis{Kind: "workload", Values: []string{"triad:8"}}
+		},
+		"workload axis with bytes axis": func(s *Sweep) {
+			s.Base.Topology = ""
+			s.Axes = append(s.Axes, Axis{Kind: "workload", Values: []string{"triad:8"}})
+		},
+		"noiseprofile axis with noise_level": func(s *Sweep) {
+			s.Base.NoiseLevel = 0.5
+			s.Axes[0] = Axis{Kind: "noiseprofile", Values: []string{"exp:0.5"}}
+		},
+		"noiseprofile axis with noise axis": func(s *Sweep) {
+			s.Axes = append(s.Axes, Axis{Kind: "noiseprofile", Values: []string{"silent"}})
+		},
+		"noise axis with noise": func(s *Sweep) { s.Base.Noise = "exp:0.5" },
+		"axis kind twice": func(s *Sweep) {
+			s.Axes = append(s.Axes, Axis{Kind: "BYTES", Values: []string{"1"}})
+		},
 	} {
 		s := base
 		s.Base.Delay = append([]Delay(nil), base.Base.Delay...)
@@ -135,6 +170,18 @@ func TestHashDistinguishesContent(t *testing.T) {
 	hc, _ := c.Hash()
 	if ha == hc {
 		t.Error("different metrics hash identically")
+	}
+	// An explicit steps=24 (the parse default) is not the base step
+	// count: the two spellings run 24 and 30 steps.
+	d := Sweep{Base: Scenario{Steps: 30, Workload: "triad:18:steps=24"}}
+	e := Sweep{Base: Scenario{Steps: 30, Workload: "triad:18"}}
+	hd, err := d.Hash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	he, _ := e.Hash()
+	if hd == he {
+		t.Error("triad:18:steps=24 and triad:18 hash identically under base steps 30")
 	}
 }
 
@@ -236,4 +283,70 @@ func TestMetricDefaults(t *testing.T) {
 	if strings.Join(c.Metrics, ",") != "speed,decay,idle,runtime" {
 		t.Errorf("default metrics = %v", c.Metrics)
 	}
+}
+
+// FuzzDecodeSpec drives the sweep service's untrusted input through
+// Decode, Canonical and Hash: no input may panic, an accepted spec's
+// canonical form must be a fixed point (by encoded bytes), and a spec
+// must hash like its canonical form.
+func FuzzDecodeSpec(f *testing.F) {
+	valid := validSweep()
+	data, err := valid.Encode()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data)
+	for _, seed := range []string{
+		`{"base": {"ranks": 8}, "axis": []}`,
+		`{"base": {"rnaks": 8}}`,
+		`{"base": {}} trailing`,
+		`{"base": {"steps": 30, "workload": "triad:18:steps=24"}}`,
+		`{"base": {"workload": "gen:8:phase=exp/3ms:seed=7", "delay": [{"rank": 1, "step": 2, "duration": "1500us"}]},
+		  "axes": [{"kind": "distribution", "values": ["gamma:scale=1ms:shape=2"]}], "metrics": ["RUNTIME"]}`,
+		`{"base": {"steps": 12}, "axes": [{"kind": "workload", "values": ["divide:8", "lbm:6:cells=30:steps=24"]},
+		  {"kind": "noiseprofile", "values": ["exp:0.5+periodic:500us@10ms", "silent"]}]}`,
+		`{"base": {"topology": "grid:4x4:periodic", "machine": " meggie:noise=0 ", "netmodel": "hockney:bw=3e9",
+		  "texec": "3000us", "trace": "OFF", "front_sources": [3]}, "workers": 2, "deadline": "90s"}`,
+		`{"base": {"ranks": 24, "boundary": "periodic", "direction": "bi", "noise_level": 0.5},
+		  "axes": [{"kind": "latency", "values": ["1us"]}, {"kind": "bandwidth", "values": ["1GB/s"]},
+		  {"kind": "seed", "values": ["1", "2"]}, {"kind": "d", "values": ["1", "2"]}]}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := Decode(data)
+		if err != nil {
+			return
+		}
+		c, err := s.Canonical()
+		if err != nil {
+			return
+		}
+		cc, err := c.Canonical()
+		if err != nil {
+			t.Fatalf("canonical form rejected: %v", err)
+		}
+		a, err := c.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := cc.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a, b) {
+			t.Fatalf("Canonical is not a fixed point:\n%s\nvs\n%s", a, b)
+		}
+		hs, err := s.Hash()
+		if err != nil {
+			t.Fatal(err)
+		}
+		hc, err := c.Hash()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hs != hc {
+			t.Fatalf("Hash(x) = %s, Hash(Canonical(x)) = %s", hs, hc)
+		}
+	})
 }

@@ -119,11 +119,8 @@ func ScenarioFromSpec(ws SpecScenario) (ScenarioSpec, error) {
 		}
 		out.Texec = d
 	}
-	switch c.Direction {
-	case "uni":
-		out.Direction = Unidirectional
-	case "bi":
-		out.Direction = Bidirectional
+	if c.Direction != "" {
+		out.Direction, _ = parseDirection(c.Direction)
 	}
 	if c.Boundary == "periodic" {
 		out.Boundary = Periodic
@@ -184,156 +181,65 @@ func SweepFromSpec(ws *Spec) (SweepSpec, error) {
 	return SweepSpec{Base: base, Axes: axes, Metrics: metrics, Workers: c.Workers}, nil
 }
 
-// axisFromSpec builds the SweepAxis for one wire axis, delegating to
-// the public axis builders so labels and semantics match sweeps built
-// in code or from CLI flags.
+// axisFromSpec builds the SweepAxis for one canonical wire axis,
+// delegating to the public axis builders so labels and semantics match
+// sweeps built in code.
 func axisFromSpec(a SpecAxis, base SpecScenario) (SweepAxis, error) {
-	var zero SweepAxis
 	vals := a.Values
 	switch a.Kind {
 	case "noise":
-		levels := make([]float64, len(vals))
-		for i, v := range vals {
-			f, err := strconv.ParseFloat(v, 64)
-			if err != nil {
-				return zero, fmt.Errorf("noise level %q: %w", v, err)
-			}
-			levels[i] = f
-		}
-		return NoiseAxis(levels...), nil
+		return buildAxis(vals, func(v string) (float64, error) { return strconv.ParseFloat(v, 64) }, NoiseAxis)
 	case "noiseprofile":
-		ps := make([]NoiseProfile, len(vals))
-		for i, v := range vals {
-			p, err := ParseNoise(v)
-			if err != nil {
-				return zero, err
-			}
-			ps[i] = p
-		}
-		return NoiseProfileAxis(ps...), nil
+		return buildAxis(vals, ParseNoise, NoiseProfileAxis)
 	case "bytes":
-		ns, err := atoiAll(vals)
-		if err != nil {
-			return zero, err
-		}
-		return MessageAxis(ns...), nil
+		return buildAxis(vals, strconv.Atoi, MessageAxis)
 	case "d":
-		ns, err := atoiAll(vals)
-		if err != nil {
-			return zero, err
-		}
-		return DistanceAxis(ns...), nil
+		return buildAxis(vals, strconv.Atoi, DistanceAxis)
 	case "direction":
-		dirs := make([]Direction, len(vals))
-		for i, v := range vals {
-			switch v {
-			case "uni":
-				dirs[i] = Unidirectional
-			case "bi":
-				dirs[i] = Bidirectional
-			default:
-				return zero, fmt.Errorf("bad direction %q (want uni or bi)", v)
-			}
-		}
-		return DirectionAxis(dirs...), nil
+		return buildAxis(vals, parseDirection, DirectionAxis)
 	case "machine":
-		ms := make([]Machine, len(vals))
-		for i, v := range vals {
-			m, err := ParseMachine(v)
-			if err != nil {
-				return zero, err
-			}
-			ms[i] = m
-		}
-		return MachineAxis(ms...), nil
+		return buildAxis(vals, ParseMachine, MachineAxis)
 	case "ranks":
-		ns, err := atoiAll(vals)
-		if err != nil {
-			return zero, err
-		}
-		return RanksAxis(ns...), nil
+		return buildAxis(vals, strconv.Atoi, RanksAxis)
 	case "seed":
-		seeds := make([]uint64, len(vals))
-		for i, v := range vals {
-			s, err := strconv.ParseUint(v, 10, 64)
-			if err != nil {
-				return zero, fmt.Errorf("seed %q: %w", v, err)
-			}
-			seeds[i] = s
-		}
-		return SeedAxis(seeds...), nil
+		return buildAxis(vals, func(v string) (uint64, error) { return strconv.ParseUint(v, 10, 64) }, SeedAxis)
 	case "topology":
-		topos := make([]Topology, len(vals))
-		for i, v := range vals {
-			t, err := ParseTopology(v)
-			if err != nil {
-				return zero, err
-			}
-			topos[i] = t
-		}
-		return TopologyAxis(topos...), nil
+		return buildAxis(vals, ParseTopology, TopologyAxis)
 	case "workload":
-		wls := make([]Workload, len(vals))
-		for i, v := range vals {
-			w, err := workload.ParseWith(v, workload.Defaults{Steps: base.Steps})
-			if err != nil {
-				return zero, err
-			}
-			wls[i] = w
-		}
-		return WorkloadAxis(wls...), nil
+		return buildAxis(vals, func(v string) (Workload, error) {
+			return workload.ParseWith(v, workload.Defaults{Steps: base.Steps})
+		}, WorkloadAxis)
 	case "netmodel":
-		ms := make([]NetModel, len(vals))
-		for i, v := range vals {
-			m, err := ParseNetModel(v)
-			if err != nil {
-				return zero, err
-			}
-			ms[i] = m
-		}
-		return NetModelAxis(ms...), nil
+		return buildAxis(vals, ParseNetModel, NetModelAxis)
 	case "latency":
-		ls := make([]time.Duration, len(vals))
-		for i, v := range vals {
-			d, err := time.ParseDuration(v)
-			if err != nil {
-				return zero, fmt.Errorf("latency %q: %w", v, err)
-			}
-			ls[i] = d
-		}
-		return LatencyAxis(ls...), nil
+		return buildAxis(vals, time.ParseDuration, LatencyAxis)
 	case "bandwidth":
-		bws := make([]float64, len(vals))
-		for i, v := range vals {
-			bw, err := netmodel.ParseRate(v, "bandwidth")
-			if err != nil {
-				return zero, err
-			}
-			bws[i] = bw
-		}
-		return BandwidthAxis(bws...), nil
+		return buildAxis(vals, func(v string) (float64, error) { return netmodel.ParseRate(v, "bandwidth") }, BandwidthAxis)
 	case "distribution":
-		ds := make([]Distribution, len(vals))
-		for i, v := range vals {
-			d, err := ParseDistribution(v)
-			if err != nil {
-				return zero, err
-			}
-			ds[i] = d
-		}
-		return DistributionAxis(ds...), nil
+		return buildAxis(vals, ParseDistribution, DistributionAxis)
 	}
-	return zero, fmt.Errorf("unknown axis kind %q", a.Kind)
+	return SweepAxis{}, fmt.Errorf("unknown axis kind %q", a.Kind)
 }
 
-func atoiAll(vals []string) ([]int, error) {
-	out := make([]int, len(vals))
+// buildAxis parses every value of an axis and hands them to its builder.
+func buildAxis[T any](vals []string, parse func(string) (T, error), build func(...T) SweepAxis) (SweepAxis, error) {
+	xs := make([]T, len(vals))
 	for i, v := range vals {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			return nil, fmt.Errorf("bad integer %q", v)
+		var err error
+		if xs[i], err = parse(v); err != nil {
+			return SweepAxis{}, err
 		}
-		out[i] = n
 	}
-	return out, nil
+	return build(xs...), nil
+}
+
+// parseDirection reads a canonical direction spelling.
+func parseDirection(v string) (Direction, error) {
+	switch v {
+	case "uni":
+		return Unidirectional, nil
+	case "bi":
+		return Bidirectional, nil
+	}
+	return 0, fmt.Errorf("bad direction %q (want uni or bi)", v)
 }

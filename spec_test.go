@@ -82,16 +82,36 @@ func TestScenarioFromSpecWorkloadStepsThreading(t *testing.T) {
 	if s2.Workload.(DivideKernel).Steps != 5 {
 		t.Errorf("workload steps = %d, want 5", s2.Workload.(DivideKernel).Steps)
 	}
+	// Even when it spells the parse default.
+	s3, err := ScenarioFromSpec(SpecScenario{Workload: "divide:8:steps=24", Steps: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s3.Workload.(DivideKernel).Steps != 24 {
+		t.Errorf("workload steps = %d, want 24", s3.Workload.(DivideKernel).Steps)
+	}
+	// A gen spelling renders steps= even at the parse default, so its
+	// canonical form must not pin 24 when the spelling left steps out.
+	s4, err := ScenarioFromSpec(SpecScenario{Workload: "gen:8:phase=exp/3ms", Steps: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s4.Workload.(GenWorkload).Steps != 11 {
+		t.Errorf("gen workload steps = %d, want 11", s4.Workload.(GenWorkload).Steps)
+	}
 }
 
 func TestScenarioFromSpecRejects(t *testing.T) {
 	for name, ws := range map[string]SpecScenario{
-		"bad machine":  {Machine: "deepthought"},
-		"bad topology": {Topology: "blob:9"},
-		"bad workload": {Workload: "warp:8"},
-		"bad noise":    {Noise: "loud"},
-		"bad netmodel": {NetModel: "warp:bw=1"},
-		"conflict":     {Noise: "exp:0.5", NoiseLevel: 0.5},
+		"bad machine":             {Machine: "deepthought"},
+		"bad topology":            {Topology: "blob:9"},
+		"bad workload":            {Workload: "warp:8"},
+		"bad noise":               {Noise: "loud"},
+		"bad netmodel":            {NetModel: "warp:bw=1"},
+		"conflict":                {Noise: "exp:0.5", NoiseLevel: 0.5},
+		"topology with d":         {Topology: "chain:8", NeighborDistance: 2},
+		"topology with direction": {Topology: "chain:8", Direction: "uni"},
+		"workload with boundary":  {Workload: "triad:8", Boundary: "periodic"},
 	} {
 		if _, err := ScenarioFromSpec(ws); err == nil {
 			t.Errorf("%s: accepted", name)
