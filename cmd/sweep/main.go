@@ -25,11 +25,12 @@
 // entries, in the spelling the spec's axis kind takes. -machine all
 // names the three reference machines.
 //
-// Which flags combine is the spec's rule, checked in one place by
-// spec.Sweep.Canonical: -topology replaces -ranks/-d/-dir/-periodic;
-// -workload also replaces -texec/-bytes; -noise replaces -E. A flag
-// such a replacement makes meaningless is left out of the spec unless
-// it is given explicitly, and then Canonical rejects the pair.
+// Which flags combine is the spec's rule, kept in one table in
+// internal/spec: -topology replaces -ranks/-d/-dir/-periodic;
+// -workload also replaces -texec/-bytes; -noise replaces -E. Every
+// flag fills the spec, defaults included; spec.DropSuperseded then
+// drops the defaults a given flag replaces, and a replaced flag given
+// explicitly stays in for spec.Sweep.Canonical to reject.
 //
 // The -spec flag runs a spec document instead ("-" reads stdin). Only
 // the output flags (-format, -o), the execution flags (-workers, -bench)
@@ -62,6 +63,7 @@ import (
 	"repro"
 	"repro/internal/cluster"
 	"repro/internal/profiling"
+	"repro/internal/spec"
 	"repro/internal/viz"
 )
 
@@ -85,6 +87,13 @@ var specFlags = []string{
 	"ranks", "steps", "texec", "delay-rank", "delay-step", "delay",
 	"periodic", "seed", "E", "noise", "bytes", "d", "dir",
 	"topology", "workload", "machine", "metrics", "shards",
+}
+
+// specField names the spec field, as spec.DropSuperseded spells it,
+// that each defaulted flag another flag may supersede fills.
+var specField = map[string]string{
+	"ranks": "base.ranks", "texec": "base.texec", "periodic": "base.boundary",
+	"E": "noise", "bytes": "bytes", "d": "d", "dir": "direction",
 }
 
 func run(args []string, stdout io.Writer) error {
@@ -159,23 +168,14 @@ func run(args []string, stdout io.Writer) error {
 			ws.Workers = *workers
 		}
 	} else {
-		// A flag some other given flag replaces keeps its default out of
-		// the spec; given explicitly it goes in, and Canonical rejects it.
-		chain := *topoList == "" && *wlList == ""
-		keep := func(name string, applies bool) bool { return applies || set[name] }
 		ws = &idlewave.Spec{
-			Base:    idlewave.SpecScenario{Steps: *steps, Seed: *seed, Shards: *shards},
+			Base: idlewave.SpecScenario{
+				Ranks: *ranks, Steps: *steps, Texec: texec.String(),
+				Boundary: map[bool]string{true: "periodic", false: "open"}[*periodic],
+				Seed:     *seed, Shards: *shards,
+			},
 			Metrics: strings.Split(*metricsF, ","),
 			Workers: *workers,
-		}
-		if keep("ranks", chain) {
-			ws.Base.Ranks = *ranks
-		}
-		if keep("texec", *wlList == "") {
-			ws.Base.Texec = texec.String()
-		}
-		if keep("periodic", chain) {
-			ws.Base.Boundary = map[bool]string{true: "periodic", false: "open"}[*periodic]
 		}
 		if *delayAt >= 0 {
 			ws.Base.Delay = []idlewave.SpecDelay{{Rank: *delayAt, Step: *delaySt, Duration: delayDur.String()}}
@@ -194,19 +194,28 @@ func run(args []string, stdout io.Writer) error {
 		}{
 			{"machine", machines, true},
 			{"noiseprofile", *noiseList, *noiseList != ""},
-			{"noise", *eList, keep("E", *noiseList == "")},
+			{"noise", *eList, true},
 			{"workload", *wlList, *wlList != ""},
-			{"bytes", *byteList, keep("bytes", *wlList == "")},
+			{"bytes", *byteList, true},
 			{"topology", *topoList, *topoList != ""},
-			{"d", *dList, keep("d", chain)},
-			{"direction", *dirList, keep("dir", chain)},
+			{"d", *dList, true},
+			{"direction", *dirList, true},
 		} {
 			if ax.on {
 				ws.Axes = append(ws.Axes, idlewave.SpecAxis{Kind: ax.kind, Values: strings.Split(ax.list, ",")})
 			}
 		}
+		// The spec's rules drop the defaults a given flag supersedes; a
+		// flag given explicitly stays in, and Canonical rejects the pair.
+		var keep []string
+		for name, field := range specField {
+			if set[name] {
+				keep = append(keep, field)
+			}
+		}
+		*ws = spec.DropSuperseded(*ws, keep)
 	}
-	spec, err := idlewave.SweepFromSpec(ws)
+	sw, err := idlewave.SweepFromSpec(ws)
 	if err != nil {
 		return err
 	}
@@ -224,13 +233,13 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 	if *bench {
-		err := runBench(stdout, spec)
+		err := runBench(stdout, sw)
 		if perr := stopProf(); err == nil {
 			err = perr
 		}
 		return err
 	}
-	tbl, err := idlewave.Sweep(spec)
+	tbl, err := idlewave.Sweep(sw)
 	if perr := stopProf(); err == nil {
 		err = perr
 	}

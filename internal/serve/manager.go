@@ -771,10 +771,6 @@ func (m *Manager) Recover(recs []journal.Record) error {
 		if err != nil {
 			return fmt.Errorf("serve: recovering job %s: %w", rec.Job, err)
 		}
-		c, err := ws.Canonical()
-		if err != nil {
-			return fmt.Errorf("serve: recovering job %s: %w", rec.Job, err)
-		}
 		if n := idNumber(rec.Job); n > maxID {
 			maxID = n
 		}
@@ -785,6 +781,14 @@ func (m *Manager) Recover(recs []journal.Record) error {
 			failed = append(failed, PointError{Index: fr.Index, Error: fr.Error, Attempts: fr.Attempts})
 		}
 
+		// A journal may hold specs an older build accepted that the
+		// current rules reject: an unfinished one settles failed with
+		// the rejection instead of keeping the service down.
+		c, cerr := ws.Canonical()
+		if js.Terminal == nil && cerr != nil {
+			js.Terminal = &journal.Record{Kind: journal.KindFailed, Job: rec.Job, Error: cerr.Error()}
+			m.journalAppend(*js.Terminal)
+		}
 		if js.Terminal != nil {
 			points := sortedPoints(js.Points)
 			var state State

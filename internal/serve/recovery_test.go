@@ -273,6 +273,73 @@ func TestRecoveryTerminalStates(t *testing.T) {
 	}
 }
 
+// TestRecoveryRejectedSpec: a journal written before a spec rule
+// existed can hold specs the current Canonical rejects. Recovery keeps
+// the service up: a finished job re-materializes as logged, an
+// unfinished one settles failed with the rejection, and that failure
+// is journaled so the log reduces to a closed job.
+func TestRecoveryRejectedSpec(t *testing.T) {
+	leaked := checkGoroutines(t)
+	defer leaked()
+	stale := []byte(`{"base":{"topology":"chain:8","boundary":"periodic"}}`)
+	if _, err := mustDecode(t, stale).Canonical(); err == nil {
+		t.Fatal("fixture spec is accepted; pick one the current rules reject")
+	}
+	header := []string{"seed", "t_total"}
+	dir := t.TempDir()
+	jnl, replayed := seedJournal(t, dir, []journal.Record{
+		{Kind: journal.KindSubmit, Job: "j000001", Hash: "stale-done", Spec: stale, Header: header, Total: 1},
+		{Kind: journal.KindPoint, Job: "j000001", Index: 0, Labels: []string{"42"}, Values: journal.Floats{1.5}},
+		{Kind: journal.KindDone, Job: "j000001"},
+		{Kind: journal.KindSubmit, Job: "j000002", Hash: "stale-open", Spec: stale, Header: header, Total: 1},
+	})
+	defer jnl.Close()
+	m := NewManager(Config{Journal: jnl, WorkersPerJob: 1})
+	if err := m.Recover(replayed); err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	if !m.Ready() {
+		t.Fatal("manager not ready after recovering a rejected spec")
+	}
+	done, _ := m.Get("j000001")
+	if st := done.Status(); st.State != StateDone || st.DonePoints != 1 {
+		t.Errorf("finished job recovered as %+v", st)
+	}
+	open, _ := m.Get("j000002")
+	if st := open.Status(); st.State != StateFailed || !strings.Contains(st.Error, "topology replaces boundary") {
+		t.Errorf("unfinished job recovered as %+v", st)
+	}
+	job, err := m.Submit(testSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitJobCSV(t, job)
+	m.Close()
+	jnl.Close()
+
+	check, all, err := journal.Open(dir, journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check.Close()
+	states, err := journal.Reduce(all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(states) != 3 || states[1].Terminal == nil || states[1].Terminal.Kind != journal.KindFailed {
+		t.Fatalf("rejected job not closed in the log: %+v", states)
+	}
+}
+
+func mustDecode(t *testing.T, data []byte) *spec.Sweep {
+	t.Helper()
+	ws, err := spec.Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ws
+}
+
 // TestReadinessGate: a journal-backed manager rejects work until
 // Recover runs — 503 with Retry-After over HTTP, ErrNotReady direct —
 // while liveness stays green throughout.

@@ -20,6 +20,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -297,24 +299,61 @@ var supersede = []struct {
 	{[]string{"noise"}, []string{"base.noise"}, "pick one"},
 }
 
+// baseFields lists the scenario fields the supersede rules name, each
+// by its supersede name and a pointer to it.
+var baseFields = []struct {
+	name  string
+	field func(*Scenario) any
+}{
+	{"base.workload", func(s *Scenario) any { return &s.Workload }},
+	{"base.topology", func(s *Scenario) any { return &s.Topology }},
+	{"base.noise", func(s *Scenario) any { return &s.Noise }},
+	{"base.noise_level", func(s *Scenario) any { return &s.NoiseLevel }},
+	{"base.ranks", func(s *Scenario) any { return &s.Ranks }},
+	{"base.texec", func(s *Scenario) any { return &s.Texec }},
+	{"base.message_bytes", func(s *Scenario) any { return &s.MessageBytes }},
+	{"base.d", func(s *Scenario) any { return &s.NeighborDistance }},
+	{"base.direction", func(s *Scenario) any { return &s.Direction }},
+	{"base.boundary", func(s *Scenario) any { return &s.Boundary }},
+}
+
 // setFields appends the supersede names of the scenario's set
 // (non-zero) fields.
 func (s Scenario) setFields(set []string) []string {
-	for _, f := range [...]struct {
-		name string
-		on   bool
-	}{
-		{"base.workload", s.Workload != ""}, {"base.topology", s.Topology != ""},
-		{"base.noise", s.Noise != ""}, {"base.noise_level", s.NoiseLevel != 0},
-		{"base.ranks", s.Ranks != 0}, {"base.texec", s.Texec != ""},
-		{"base.message_bytes", s.MessageBytes != 0}, {"base.d", s.NeighborDistance != 0},
-		{"base.direction", s.Direction != ""}, {"base.boundary", s.Boundary != ""},
-	} {
-		if f.on {
+	for _, f := range baseFields {
+		if !reflect.ValueOf(f.field(&s)).Elem().IsZero() {
 			set = append(set, f.name)
 		}
 	}
 	return set
+}
+
+// DropSuperseded returns s without the base fields and axes that a set
+// field of s supersedes, except those named in keep (by supersede name:
+// "base.<JSON key>" or an axis kind). A command line fills a spec from
+// every flag, defaults included, and drops here the defaults that a
+// given flag supersedes; a kept field stays for Canonical to reject.
+func DropSuperseded(s Sweep, keep []string) Sweep {
+	set := s.Base.setFields(nil)
+	for _, a := range s.Axes {
+		set = append(set, a.Kind)
+	}
+	var drop []string
+	for _, r := range supersede {
+		for _, by := range r.by {
+			if contains(set, by) {
+				drop = append(drop, r.replaces...)
+			}
+		}
+	}
+	drop = slices.DeleteFunc(drop, func(f string) bool { return contains(keep, f) })
+	for _, f := range baseFields {
+		if contains(drop, f.name) {
+			reflect.ValueOf(f.field(&s.Base)).Elem().SetZero()
+		}
+	}
+	s.Axes = slices.DeleteFunc(slices.Clone(s.Axes), func(a Axis) bool { return contains(drop, a.Kind) })
+	return s
 }
 
 // checkSupersede reports the first supersede rule the set fields break.
@@ -463,35 +502,53 @@ func canonTopology(v string) (string, error) {
 	return t.String(), nil
 }
 
-// canonWorkload renders a workload in its canonical spelling. The
-// renderings omit steps=DefaultSteps, so under a base step count steps
-// that differs from it an explicit steps=DefaultSteps would re-parse
-// with the base count instead; such a spelling keeps its trimmed user
-// form, like canonMachine.
+// canonWorkload renders what v means under the base step count steps
+// (the workload.Defaults{Steps: steps} that ScenarioFromSpec parses it
+// with) in canonical spelling.
 func canonWorkload(v string, steps int) (string, error) {
 	v = strings.TrimSpace(v)
 	if v == "" {
 		return "", nil
 	}
-	w, err := workload.Parse(v)
+	w, err := workload.ParseWith(v, workload.Defaults{Steps: steps})
 	if err != nil {
 		return "", err
 	}
-	c := fmt.Sprint(w)
-	if steps == 0 || steps == workload.DefaultSteps || workloadUnder(c, steps) == workloadUnder(v, steps) {
-		return c, nil
+	if steps == 0 {
+		steps = workload.DefaultSteps
 	}
-	return v, nil
+	return rebaseSteps(w, steps), nil
 }
 
-// workloadUnder renders what spelling v means under the base step
-// count steps ("" if it does not parse).
-func workloadUnder(v string, steps int) string {
-	w, err := workload.ParseWith(v, workload.Defaults{Steps: steps})
-	if err != nil {
-		return ""
+// rebaseSteps renders a parsed workload so that its step count is
+// spelled exactly when it differs from the base count steps. The
+// triad, lbm, divide and bulk renderings spell it when it differs from
+// DefaultSteps, so under another base they gain or lose the steps=
+// option; gen always spells its count, replay has none, and a mix
+// rebases each part.
+func rebaseSteps(w any, steps int) string {
+	if m, ok := w.(genload.JobMix); ok {
+		parts := make([]string, len(m.Parts))
+		for i, p := range m.Parts {
+			parts[i] = strings.ReplaceAll(rebaseSteps(p, steps), ":", "/")
+		}
+		return "mix:" + strings.Join(parts, "+")
 	}
-	return fmt.Sprint(w)
+	c := fmt.Sprint(w)
+	kind, _, _ := strings.Cut(c, ":")
+	if steps == workload.DefaultSteps || kind == "gen" || kind == "replay" {
+		return c
+	}
+	opts := strings.Split(c, ":")
+	for i, o := range opts {
+		if o == "steps="+strconv.Itoa(steps) {
+			return strings.Join(append(opts[:i], opts[i+1:]...), ":")
+		}
+		if strings.HasPrefix(o, "steps=") {
+			return c
+		}
+	}
+	return c + ":steps=" + strconv.Itoa(workload.DefaultSteps)
 }
 
 // canonDistribution normalizes a ParseDistribution spelling (so

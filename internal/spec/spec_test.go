@@ -2,8 +2,11 @@ package spec
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/workload"
 )
 
 func validSweep() Sweep {
@@ -135,6 +138,44 @@ func TestCanonicalRejects(t *testing.T) {
 	}
 }
 
+// TestDropSuperseded: the fields a set field supersedes are dropped
+// unless kept, and a kept one is still rejected by Canonical.
+func TestDropSuperseded(t *testing.T) {
+	s := Sweep{
+		Base: Scenario{Ranks: 24, Steps: 20, Texec: "3ms", Boundary: "periodic"},
+		Axes: []Axis{
+			{Kind: "noiseprofile", Values: []string{"exp:0.5"}},
+			{Kind: "noise", Values: []string{"0"}},
+			{Kind: "topology", Values: []string{"chain:8"}},
+			{Kind: "d", Values: []string{"1"}},
+			{Kind: "bytes", Values: []string{"8192"}},
+		},
+	}
+	got := DropSuperseded(s, nil)
+	want := Sweep{
+		Base: Scenario{Steps: 20, Texec: "3ms"},
+		Axes: []Axis{s.Axes[0], s.Axes[2], s.Axes[4]},
+	}
+	a, _ := got.Encode()
+	b, _ := want.Encode()
+	if !bytes.Equal(a, b) {
+		t.Errorf("dropped to\n%s\nwant\n%s", a, b)
+	}
+	if len(s.Axes) != 5 || s.Base.Ranks != 24 {
+		t.Error("DropSuperseded modified its argument")
+	}
+	if _, err := got.Canonical(); err != nil {
+		t.Errorf("dropped spec rejected: %v", err)
+	}
+	kept := DropSuperseded(s, []string{"d"})
+	if len(kept.Axes) != 4 || kept.Base.Ranks != 0 {
+		t.Fatalf("kept d axis: %+v", kept)
+	}
+	if _, err := kept.Canonical(); err == nil || !strings.Contains(err.Error(), "topology axis replaces d axis") {
+		t.Errorf("kept d axis: Canonical gave %v", err)
+	}
+}
+
 func TestHashIgnoresExecutionConfig(t *testing.T) {
 	a := validSweep()
 	b := validSweep()
@@ -183,6 +224,60 @@ func TestHashDistinguishesContent(t *testing.T) {
 	if hd == he {
 		t.Error("triad:18:steps=24 and triad:18 hash identically under base steps 30")
 	}
+}
+
+// TestCanonicalWorkloadUnderBaseSteps: a workload's canonical spelling
+// is that of what it means under the base step count. Spellings in one
+// group mean the same under steps and must canonicalize to one string
+// that still means it; different groups must not collide.
+func TestCanonicalWorkloadUnderBaseSteps(t *testing.T) {
+	seen := map[string]int{}
+	for gi, g := range []struct {
+		steps     int
+		spellings []string
+	}{
+		{0, []string{"triad:18", "triad:18:steps=24", " triad:18 "}},
+		{24, []string{"triad:18", "triad:18:steps=24"}},
+		{30, []string{"triad:18", "triad:18:steps=30"}},
+		{30, []string{"triad:18:steps=24"}},
+		{30, []string{"triad:18:steps=50", "triad:18:ws=1.2e9:steps=50"}},
+		{30, []string{"bulk:18:periodic:steps=24", "bulk:18:steps=24:periodic"}},
+		{11, []string{"gen:8:phase=exp/3ms:seed=7", "gen:8:seed=7:phase=exp/3000us", "gen:8:steps=11:phase=exp/3ms:seed=7"}},
+		{11, []string{"gen:8:steps=24:phase=exp/3ms:seed=7"}},
+		{11, []string{"mix:bulk/18+gen/8/phase=exp/3ms/seed=1", "mix:bulk/18/steps=11+gen/8/seed=1/phase=exp/3000us"}},
+		{11, []string{"mix:bulk/18/steps=24+gen/8/phase=exp/3ms/seed=1"}},
+	} {
+		var canon string
+		for _, v := range g.spellings {
+			c, err := canonWorkload(v, g.steps)
+			if err != nil {
+				t.Fatalf("%q (steps %d): %v", v, g.steps, err)
+			}
+			if canon == "" {
+				canon = c
+			} else if c != canon {
+				t.Errorf("steps %d: %q canonicalizes to %q, %q to %q", g.steps, g.spellings[0], canon, v, c)
+			}
+			if got, want := meaningUnder(t, c, g.steps), meaningUnder(t, v, g.steps); got != want {
+				t.Errorf("steps %d: %q canonicalizes to %q, which means %s, not %s", g.steps, v, c, got, want)
+			}
+		}
+		key := fmt.Sprint(g.steps, " ", canon)
+		if prev, dup := seen[key]; dup {
+			t.Errorf("groups %d and %d both canonicalize to %q", prev, gi, canon)
+		}
+		seen[key] = gi
+	}
+}
+
+// meaningUnder renders what v means under the base step count steps.
+func meaningUnder(t *testing.T, v string, steps int) string {
+	t.Helper()
+	w, err := workload.ParseWith(v, workload.Defaults{Steps: steps})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fmt.Sprint(w)
 }
 
 func TestHashEquivalentSpellings(t *testing.T) {
