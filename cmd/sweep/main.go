@@ -14,7 +14,6 @@
 //	sweep -topology grid:16x16:periodic,chain:256:periodic -E 0,0.05
 //	sweep -workload triad:18,lbm:18:cells=90,divide:18 -metrics runtime,membw
 //	sweep -E 0,0.05 -format markdown
-//	sweep -E 0,0.05,0.1 -bench    # engine scaling demo: serial vs parallel
 //	sweep -spec sweep.json -format csv
 //
 // The flags fill a declarative sweep spec (idlewave.Spec, the JSON
@@ -33,8 +32,8 @@
 // explicitly stays in for spec.Sweep.Canonical to reject.
 //
 // The -spec flag runs a spec document instead ("-" reads stdin). Only
-// the output flags (-format, -o), the execution flags (-workers, -bench)
-// and the profiling flags compose with it; an explicit -workers
+// the output flags (-format, -o), the execution flag (-workers) and
+// the profiling flags compose with it; an explicit -workers
 // overrides the document's worker count.
 //
 // Flag syntaxes: -topology takes chain:<n>[:opts], grid:<e1>x<e2>[x...]
@@ -122,7 +121,6 @@ func run(args []string, stdout io.Writer) error {
 		shards   = fs.Int("shards", 0, "parallel-DES shard count per grid point (0 = serial; results are byte-identical at any count)")
 		format   = fs.String("format", "table", "output format: table, csv, json or markdown")
 		outFile  = fs.String("o", "", "write output to a file instead of stdout")
-		bench    = fs.Bool("bench", false, "time the grid with workers=1 and the requested pool, report the speedup")
 
 		specFile = fs.String("spec", "", "run a declarative sweep spec from this JSON file (\"-\" = stdin); replaces the scenario and axis flags")
 
@@ -232,13 +230,6 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if *bench {
-		err := runBench(stdout, sw)
-		if perr := stopProf(); err == nil {
-			err = perr
-		}
-		return err
-	}
 	tbl, err := idlewave.Sweep(sw)
 	if perr := stopProf(); err == nil {
 		err = perr
@@ -288,34 +279,4 @@ func readSpec(path string) (*idlewave.Spec, error) {
 		return nil, err
 	}
 	return idlewave.ParseSpec(data)
-}
-
-func runBench(w io.Writer, spec idlewave.SweepSpec) error {
-	points := 1
-	for _, ax := range spec.Axes {
-		points *= len(ax.Labels)
-	}
-	fmt.Fprintf(w, "grid: %d points\n", points)
-
-	serial := spec
-	serial.Workers = 1
-	t0 := time.Now()
-	if _, err := idlewave.Sweep(serial); err != nil {
-		return err
-	}
-	tSerial := time.Since(t0)
-	fmt.Fprintf(w, "workers=1: %v\n", tSerial.Round(time.Millisecond))
-
-	t0 = time.Now()
-	if _, err := idlewave.Sweep(spec); err != nil {
-		return err
-	}
-	tPar := time.Since(t0)
-	label := fmt.Sprint(spec.Workers)
-	if spec.Workers < 1 {
-		label = "all cores"
-	}
-	fmt.Fprintf(w, "workers=%s: %v (%.2fx speedup)\n",
-		label, tPar.Round(time.Millisecond), tSerial.Seconds()/tPar.Seconds())
-	return nil
 }

@@ -207,6 +207,14 @@ type Journal struct {
 	seq  int
 	opts Options
 	path string
+	// syncs counts fsyncs, so tests can pin how many a job costs.
+	syncs int
+}
+
+// sync fsyncs the log file and counts it.
+func (j *Journal) sync() error {
+	j.syncs++
+	return j.f.Sync()
 }
 
 // Open creates dir if needed, opens (or creates) its log file, replays
@@ -246,7 +254,7 @@ func (j *Journal) replay() ([]Record, error) {
 		if _, err := j.f.WriteAt([]byte(magic), 0); err != nil {
 			return nil, fmt.Errorf("journal: writing magic: %w", err)
 		}
-		if err := j.f.Sync(); err != nil {
+		if err := j.sync(); err != nil {
 			return nil, fmt.Errorf("journal: %w", err)
 		}
 		j.off = int64(len(magic))
@@ -299,7 +307,7 @@ func (j *Journal) replay() ([]Record, error) {
 		if err := j.f.Truncate(off); err != nil {
 			return nil, fmt.Errorf("journal: truncating torn tail of %s: %w", j.path, err)
 		}
-		if err := j.f.Sync(); err != nil {
+		if err := j.sync(); err != nil {
 			return nil, fmt.Errorf("journal: %w", err)
 		}
 	}
@@ -340,7 +348,7 @@ func (j *Journal) Append(rec Record) error {
 	}
 	j.off += int64(len(buf))
 	if rec.Kind != KindPoint || j.opts.SyncPoints {
-		if err := j.f.Sync(); err != nil {
+		if err := j.sync(); err != nil {
 			return fmt.Errorf("journal: %w", err)
 		}
 	}
@@ -351,7 +359,7 @@ func (j *Journal) Append(rec Record) error {
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if err := j.f.Sync(); err != nil {
+	if err := j.sync(); err != nil {
 		j.f.Close()
 		return fmt.Errorf("journal: %w", err)
 	}

@@ -64,6 +64,43 @@ func TestJournalRoundTrip(t *testing.T) {
 	}
 }
 
+// TestJournalSyncsPerJob pins the durability cost of one job: submit,
+// 36 point rows and a terminal record fsync exactly twice under the
+// default options (submit and terminal only), and once per record with
+// SyncPoints.
+func TestJournalSyncsPerJob(t *testing.T) {
+	const points = 36
+	for _, tc := range []struct {
+		opts Options
+		want int
+	}{
+		{Options{}, 2},
+		{Options{SyncPoints: true}, points + 2},
+	} {
+		j, _, err := Open(t.TempDir(), tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs := []Record{{Kind: KindSubmit, Job: "j000001", Hash: "abc123", Spec: json.RawMessage(`{"base":{"ranks":8}}`), Header: []string{"noise", "speed"}, Total: points}}
+		for i := 0; i < points; i++ {
+			recs = append(recs, Record{Kind: KindPoint, Job: "j000001", Index: i, Labels: []string{"0"}, Values: []float64{1}})
+		}
+		recs = append(recs, Record{Kind: KindDone, Job: "j000001"})
+		before := j.syncs
+		for _, r := range recs {
+			if err := j.Append(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := j.syncs - before; got != tc.want {
+			t.Errorf("SyncPoints=%v: %d records made %d fsyncs, want %d", tc.opts.SyncPoints, len(recs), got, tc.want)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestJournalDoubleReplay: replay is a pure read — two opens of the
 // same directory return identical records, and reducing either stream
 // yields the same state.

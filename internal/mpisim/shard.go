@@ -201,7 +201,7 @@ func planShards(cfg Config, programs []Program) (*shardPlan, string) {
 
 // singleShardPlan covers all ranks with one shard: trivially eligible
 // (no cross-shard interactions exist), and it exercises the parallel
-// driver end to end, which is what the shards=1 bench baseline measures.
+// driver end to end, so Shards=1 runs the coordinator with no cuts.
 func singleShardPlan(n int) *shardPlan {
 	return &shardPlan{
 		bounds: []int{0, n},

@@ -285,6 +285,28 @@ func TestMemBudgetCountsWorkloadRanks(t *testing.T) {
 	}
 }
 
+// TestEstimateCountsWorkloadSteps: a workload's own steps= option is
+// charged like a base step count, so every spelling of a 64-rank,
+// 100000-step job is estimated at least at 16 bytes per rank-step.
+func TestEstimateCountsWorkloadSteps(t *testing.T) {
+	const ranks, steps = 64, 100000
+	for _, tc := range []struct {
+		name string
+		c    spec.Sweep
+	}{
+		{"base steps", spec.Sweep{Base: spec.Scenario{Workload: "triad:64", Steps: steps}}},
+		{"workload steps", spec.Sweep{Base: spec.Scenario{Workload: "triad:64:steps=100000"}}},
+		{"gen steps", spec.Sweep{Base: spec.Scenario{Workload: "gen:64:steps=100000:phase=exp/1ms"}}},
+		{"axis steps", spec.Sweep{Axes: []spec.Axis{{Kind: "workload", Values: []string{"triad:8", "triad:64:steps=100000"}}}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if got, floor := estimateJobBytes(tc.c, 1, 1, 4), int64(ranks*16*steps); got < floor {
+				t.Errorf("estimate %d B, want >= %d B", got, floor)
+			}
+		})
+	}
+}
+
 // TestJournalWriteFailuresAreSurvivable: injected journal I/O errors
 // are counted but never fail the job — durability degrades, the
 // answer does not.

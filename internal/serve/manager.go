@@ -13,6 +13,7 @@ import (
 
 	idlewave "repro"
 	"repro/internal/chaos"
+	"repro/internal/genload"
 	"repro/internal/journal"
 	"repro/internal/spec"
 	"repro/internal/sweep"
@@ -373,27 +374,29 @@ func estimateJobBytes(c spec.Sweep, points, workers, cols int) int64 {
 	if steps <= 0 {
 		steps = 100
 	}
-	raise := func(n int) {
-		if n > ranks {
-			ranks = n
-		}
+	raise := func(r, s int) {
+		ranks = max(ranks, r)
+		steps = max(steps, s)
 	}
+	// A workload without steps= runs the base step count, as
+	// ScenarioFromSpec parses it.
+	def := workload.Defaults{Steps: c.Base.Steps}
 	for _, a := range c.Axes {
 		for _, v := range a.Values {
 			switch a.Kind {
 			case "ranks":
 				if n, err := strconv.Atoi(v); err == nil {
-					raise(n)
+					raise(n, 0)
 				}
 			case "topology":
-				raise(topologyRanks(v))
+				raise(topologyRanks(v), 0)
 			case "workload":
-				raise(workloadRanks(v))
+				raise(workloadShape(v, def))
 			}
 		}
 	}
-	raise(topologyRanks(c.Base.Topology))
-	raise(workloadRanks(c.Base.Workload))
+	raise(topologyRanks(c.Base.Topology), 0)
+	raise(workloadShape(c.Base.Workload, def))
 	if ranks < 64 {
 		ranks = 64
 	}
@@ -412,19 +415,46 @@ func topologyRanks(v string) int {
 	return t.Ranks()
 }
 
-// workloadRanks is the rank count a workload.Parse spelling carries in
-// its own topology, or 0 when it does not parse or declares no
-// topology.
-func workloadRanks(v string) int {
-	w, err := workload.Parse(v)
+// workloadShape is the rank count a workload.ParseWith spelling carries
+// in its own topology (0 when it declares none) and its step count, or
+// zeros when it does not parse.
+func workloadShape(v string, def workload.Defaults) (ranks, steps int) {
+	w, err := workload.ParseWith(v, def)
 	if err != nil {
-		return 0
+		return 0, 0
 	}
-	t, err := w.Topology()
-	if err != nil || t == nil {
-		return 0
+	if t, err := w.Topology(); err == nil && t != nil {
+		ranks = t.Ranks()
 	}
-	return t.Ranks()
+	return ranks, workloadSteps(w)
+}
+
+// workloadSteps is a parsed workload's step count; a mix runs as many
+// steps as its longest part.
+func workloadSteps(w workload.Workload) int {
+	switch w := w.(type) {
+	case workload.BulkSync:
+		return w.Steps
+	case workload.StreamTriad:
+		return w.Steps
+	case workload.LBM:
+		return w.Steps
+	case workload.DivideKernel:
+		return w.Steps
+	case genload.GenWorkload:
+		return w.Steps
+	case genload.Replay:
+		if w.Data != nil {
+			return w.Data.Steps
+		}
+	case genload.JobMix:
+		n := 0
+		for _, p := range w.Parts {
+			n = max(n, workloadSteps(p))
+		}
+		return n
+	}
+	return 0
 }
 
 // Get returns the job with the given id.

@@ -231,13 +231,12 @@ func ReadRecorded(r io.Reader) (Recorded, error) {
 		return Recorded{}, fmt.Errorf("trace: header shape %dx%d implausibly large", hdr.Ranks, hdr.Steps)
 	}
 
+	// The matrices grow as rank frames arrive, so a header that declares
+	// a huge shape costs only the bytes actually read behind it.
 	rec := Recorded{
 		Topology: hdr.Topology, Machine: hdr.Machine, NetModel: hdr.NetModel,
 		Workload: hdr.Workload, Seed: hdr.Seed, Ranks: hdr.Ranks,
 		Steps: hdr.Steps, Bytes: hdr.Bytes, TexecNS: hdr.TexecNS, Exact: hdr.Exact,
-		Exec:  make([][]float64, hdr.Ranks),
-		Delay: make([][]float64, hdr.Ranks),
-		Noise: make([][]float64, hdr.Ranks),
 	}
 	for i := 0; i < hdr.Ranks; i++ {
 		var fr v2Rank
@@ -251,12 +250,14 @@ func ReadRecorded(r io.Reader) (Recorded, error) {
 			return Recorded{}, fmt.Errorf("trace: rank %d frame has %d/%d/%d steps, header says %d",
 				i, len(fr.Exec), len(fr.Delay), len(fr.Noise), hdr.Steps)
 		}
-		rec.Exec[i], rec.Delay[i], rec.Noise[i] = fr.Exec, fr.Delay, fr.Noise
-		if fr.StepEnd != nil {
-			if rec.StepEnd == nil {
-				rec.StepEnd = make([][]float64, hdr.Ranks)
-			}
-			rec.StepEnd[i] = fr.StepEnd
+		rec.Exec = append(rec.Exec, fr.Exec)
+		rec.Delay = append(rec.Delay, fr.Delay)
+		rec.Noise = append(rec.Noise, fr.Noise)
+		if fr.StepEnd != nil && rec.StepEnd == nil {
+			rec.StepEnd = make([][]float64, i) // ranks before i carry none
+		}
+		if rec.StepEnd != nil {
+			rec.StepEnd = append(rec.StepEnd, fr.StepEnd)
 		}
 	}
 	var end v2End

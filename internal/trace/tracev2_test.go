@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -183,6 +184,27 @@ func TestRecordedCorruption(t *testing.T) {
 		buf.Write(frames[3])
 		if _, err := ReadRecorded(bytes.NewReader(buf.Bytes())); err == nil {
 			t.Fatal("out-of-order rank frames accepted")
+		}
+	})
+	t.Run("huge declared shape", func(t *testing.T) {
+		// A valid header declaring 2^24 ranks, the most maxShape admits,
+		// and no rank frame behind it: the declared shape must cost
+		// nothing until frames arrive.
+		payload := []byte(`{"version":2,"topology":"chain:16777216","seed":1,"ranks":16777216,"steps":1,"bytes":8,"texec_ns":1,"exact":true}`)
+		var head [8]byte
+		binary.LittleEndian.PutUint32(head[0:], uint32(len(payload)))
+		binary.LittleEndian.PutUint32(head[4:], crcOf(payload))
+		b := append(append([]byte(MagicV2), head[:]...), payload...)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadRecorded(bytes.NewReader(b))
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), "rank frame 0") {
+			t.Fatalf("%d-byte stream: got %v, want a rank frame 0 error", len(b), err)
+		}
+		const ceiling = 16 << 20
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > ceiling {
+			t.Fatalf("%d-byte stream allocated %d MB, want < %d MB", len(b), alloc>>20, ceiling>>20)
 		}
 	})
 }

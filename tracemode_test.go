@@ -1,8 +1,17 @@
 package idlewave
 
 import (
+	"runtime"
 	"testing"
 	"time"
+
+	"repro/internal/mpisim"
+	"repro/internal/netmodel"
+	"repro/internal/noise"
+	"repro/internal/sim"
+	"repro/internal/topology"
+	"repro/internal/wave"
+	"repro/internal/workload"
 )
 
 // traceModeScenarios are the public-API scenarios the reduced-trace
@@ -136,5 +145,56 @@ func TestReducedTraceDegradesExplicitly(t *testing.T) {
 	}
 	if _, err := Simulate(ScenarioSpec{Ranks: 8, Steps: 3, FrontSources: []int{99}}); err == nil {
 		t.Error("out-of-range front source accepted")
+	}
+}
+
+// TestStreamedFrontMemoryScales bounds what trace-off mode saves: a
+// 100k-rank, 12-step chain run with the trace recorder off and the front
+// streamed from its waits must allocate less than 20x the bytes of a
+// 1k-rank, 60-step chain with the full trace, though it has 20x the
+// rank-steps. Memory follows the live state, not the rank x step trace.
+func TestStreamedFrontMemoryScales(t *testing.T) {
+	net, err := netmodel.NewHockney(sim.Micro(2), 3e9, 1<<17)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// chainAlloc returns the bytes one run of an open bidirectional chain
+	// with a centre delay allocates, programs excluded.
+	chainAlloc := func(ranks, steps int, streamed bool) uint64 {
+		chain, err := topology.NewChain(ranks, 1, topology.Bidirectional, topology.Open)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wl := workload.BulkSync{
+			Topo: chain, Steps: steps, Texec: sim.Milli(3), Bytes: 8192,
+			Injections: []noise.Injection{{Rank: ranks / 2, Step: 2, Duration: sim.Milli(15)}},
+		}
+		progs, err := wl.Programs()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		cfg := mpisim.Config{Ranks: ranks, Net: net}
+		var tracker *wave.FrontTracker
+		if streamed {
+			tracker = wave.NewFrontTracker(chain, ranks/2, sim.Milli(3)/2)
+			cfg.Trace, cfg.OnWait = mpisim.TraceOff, tracker.Observe
+		}
+		if _, err := mpisim.Run(cfg, progs); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if streamed && tracker.Samples() == 0 {
+			t.Fatal("front tracker observed no idle wave")
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	dense := chainAlloc(1000, 60, false)
+	sparse := chainAlloc(100_000, 12, true)
+	ratio := float64(sparse) / float64(dense)
+	t.Logf("100k streamed %.1f MB, 1k full trace %.1f MB: %.1fx", float64(sparse)/1e6, float64(dense)/1e6, ratio)
+	if ratio >= 20 {
+		t.Fatalf("100k-rank streamed chain allocated %.1fx the 1k-rank full-trace chain, want < 20x", ratio)
 	}
 }
